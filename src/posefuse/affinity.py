@@ -70,6 +70,8 @@ class TrackerConfig:
             raise ValueError("retire_after must be positive")
         if self.min_views_init < 2:
             raise ValueError("min_views_init must be at least 2")
+        if self.min_shared_joints < 1:
+            raise ValueError("min_shared_joints must be at least 1")
         if self.alpha2d_epi is None:
             object.__setattr__(self, "alpha2d_epi", self.alpha2d * 0.5)
         if self.alpha2d_epi <= 0:

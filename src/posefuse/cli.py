@@ -10,7 +10,7 @@ from . import io_cli
 from .affinity import TrackerConfig
 from .evaluation import association_accuracy, framerate_sweep, mot_metrics, pcp, \
     project_step_roots
-from .geometry import RankDeficientP
+from .geometry import CoincidentCenters, RankDeficientP
 from .simulator import InvalidSpec, generate
 from .tracker import ChronologyViolation, CrossViewTracker, UnknownCamera
 
@@ -31,7 +31,10 @@ def _close(handle) -> None:
 def cmd_track(args) -> int:
     cams = io_cli.load_calibration(args.calib)
     cfg = io_cli.load_config(args.config) if args.config else TrackerConfig()
-    tracker = CrossViewTracker(cams, cfg)
+    try:
+        tracker = CrossViewTracker(cams, cfg)
+    except CoincidentCenters as e:
+        raise io_cli.ParseError(f"{args.calib}: {e}") from None
     label = "<stdin>" if args.input == "-" else args.input
     fin = _open_in(args.input)
     fout = _open_out(args.output)
@@ -45,7 +48,7 @@ def cmd_track(args) -> int:
         for lineno, line in enumerate(fin, 1):
             if not line.strip():
                 continue
-            frame = io_cli.parse_frame_line(line, label, lineno)
+            frame = io_cli.parse_frame_line(line, label, lineno, tracker.K)
             out = tracker.step(frame)
             fout.write(io_cli.dumps(io_cli.track_record(out)) + "\n")
             if fassign:
@@ -255,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (io_cli.ParseError, InvalidSpec, UnknownCamera, ChronologyViolation,
-            RankDeficientP, OSError) as e:
+            RankDeficientP, CoincidentCenters, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -76,19 +76,16 @@ class SweepRow:
     mean_dt_unweighted: float
 
 
-def _match_estimates(est: dict[int, np.ndarray], true: dict[int, np.ndarray],
-                     max_mean_err: float = 0.5) -> dict[int, int]:
-    """Greedy per-frame person correspondence by mean joint distance."""
-    cands = []
-    for pid, tp in true.items():
-        for tid, ep in est.items():
-            shared = np.isfinite(ep).all(axis=1) & np.isfinite(tp).all(axis=1)
-            if not shared.any():
-                continue
-            err = float(np.linalg.norm((ep - tp)[shared], axis=1).mean())
-            if err <= max_mean_err:
-                cands.append((err, pid, tid))
-    cands.sort(key=lambda c: (c[0], c[1], c[2]))
+def _greedy_match(est: dict[int, np.ndarray], true: dict[int, np.ndarray],
+                  dist, thresh: float) -> dict[int, int]:
+    """Greedy per-frame correspondence {person id: estimate id}.
+
+    Candidate pairs have dist(estimate, truth) <= thresh and are taken in
+    ascending (distance, person id, estimate id) order while both ends are
+    free. dist returns NaN for a pair it cannot measure.
+    """
+    cands = sorted((d, pid, tid) for pid, tx in true.items()
+                   for tid, ex in est.items() if (d := dist(ex, tx)) <= thresh)
     out: dict[int, int] = {}
     used = set()
     for _, pid, tid in cands:
@@ -97,6 +94,18 @@ def _match_estimates(est: dict[int, np.ndarray], true: dict[int, np.ndarray],
         out[pid] = tid
         used.add(tid)
     return out
+
+
+def _mean_joint_error(ep: np.ndarray, tp: np.ndarray) -> float:
+    """Mean distance over the joints finite in both poses; NaN if none are."""
+    shared = np.isfinite(ep).all(axis=1) & np.isfinite(tp).all(axis=1)
+    if not shared.any():
+        return float("nan")
+    return float(np.linalg.norm((ep - tp)[shared], axis=1).mean())
+
+
+def _root_distance(ex: np.ndarray, tx: np.ndarray) -> float:
+    return float(np.hypot(*(ex - tx)))
 
 
 def pcp(estimates, truth, alpha: float = 0.5) -> PcpReport:
@@ -118,7 +127,7 @@ def pcp(estimates, truth, alpha: float = 0.5) -> PcpReport:
         if not est:
             continue
         true = truth.poses_at(t)
-        matched = _match_estimates(est, true)
+        matched = _greedy_match(est, true, _mean_joint_error, 0.5)
         for pid, tp in true.items():
             ep = est.get(matched.get(pid)) if pid in matched else None
             for part, edges in PART_EDGES.items():
@@ -174,25 +183,6 @@ def association_accuracy(records: list[AssignmentRecord],
     return AssociationReport(per_camera, overall)
 
 
-def _greedy_frame_match(est: dict[int, np.ndarray], true: dict[int, np.ndarray],
-                        thresh: float) -> dict[int, int]:
-    cands = []
-    for pid, tx in true.items():
-        for tid, ex in est.items():
-            d = float(np.hypot(*(ex - tx)))
-            if d <= thresh:
-                cands.append((d, pid, tid))
-    cands.sort(key=lambda c: (c[0], c[1], c[2]))
-    out: dict[int, int] = {}
-    used = set()
-    for _, pid, tid in cands:
-        if pid in out or tid in used:
-            continue
-        out[pid] = tid
-        used.add(tid)
-    return out
-
-
 def _mot_for_series(series) -> MotCameraStats:
     fp = fn = ids = n_truth = n_est = 0
     last_id: dict[int, int] = {}
@@ -204,11 +194,11 @@ def _mot_for_series(series) -> MotCameraStats:
         for pid, tx in true.items():
             tid = last_id.get(pid)
             if tid is not None and tid in est and tid not in kept.values() \
-                    and float(np.hypot(*(est[tid] - tx))) <= thresh:
+                    and _root_distance(est[tid], tx) <= thresh:
                 kept[pid] = tid
         rest_true = {p: x for p, x in true.items() if p not in kept}
         rest_est = {e: x for e, x in est.items() if e not in kept.values()}
-        m = _greedy_frame_match(rest_est, rest_true, thresh)
+        m = _greedy_match(rest_est, rest_true, _root_distance, thresh)
         m.update(kept)
         fp += len(est) - len(m)
         fn += len(true) - len(m)

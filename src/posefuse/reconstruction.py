@@ -1,152 +1,34 @@
-"""Linear triangulation of one joint from multi-view, multi-time observations."""
+"""Batched plain-DLT triangulation of a skeleton's joints from several views."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .geometry import CameraView, hom
 
 
 class UnknownCamera(KeyError):
     """Observation references a camera the rig does not contain."""
 
 
-class InsufficientViews(ValueError):
-    """Fewer than two usable views, or all views share a center."""
+def triangulate(P: np.ndarray, xy: np.ndarray, vis: np.ndarray) -> np.ndarray:
+    """Plain DLT for every joint of one skeleton seen by n cameras.
 
-
-class NearDegenerate(ValueError):
-    """Solution is numerically at infinity; rays are (almost) parallel."""
-
-
-@dataclass(frozen=True)
-class JointObservationSet:
-    """One joint's 2D evidence: at most one observation per camera.
-
-    The reference time is the newest timestamp; weighting measures staleness
-    against it.
+    P is (n, 3, 4), one projection matrix per view; xy is (n, K, 2) pixels
+    and vis (n, K) marks the joints each view sees. Each joint's point
+    minimizes ||C X|| over unit homogeneous X, where C stacks the rows
+    x * p3 - p1 and y * p3 - p2 of every view that sees it (p1..p3 being the
+    rows of that view's P) and a zero row pair for every view that does not.
+    Returns (K, 3) points, NaN for a joint seen by fewer than two views or
+    whose solution is at infinity (|w| < 1e-12, parallel rays).
     """
-
-    cameras: tuple[str, ...]
-    points: np.ndarray
-    times: np.ndarray
-    confidences: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cameras", tuple(self.cameras))
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float).reshape(-1, 2))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float).reshape(-1))
-        conf = self.confidences
-        if conf is None:
-            conf = np.ones(len(self.cameras))
-        object.__setattr__(self, "confidences", np.asarray(conf, dtype=float).reshape(-1))
-        n = len(self.cameras)
-        if n == 0:
-            raise ValueError("empty observation set")
-        if len(set(self.cameras)) != n:
-            raise ValueError("duplicate camera in observation set")
-        if self.points.shape[0] != n or self.times.shape[0] != n or self.confidences.shape[0] != n:
-            raise ValueError("cameras, points, times, confidences must align")
-
-    @property
-    def reference_time(self) -> float:
-        return float(self.times.max())
-
-
-@dataclass(frozen=True)
-class TriangulationResult:
-    point: np.ndarray
-    residual_px: float
-    n_views: int
-
-
-def _views(obs: JointObservationSet, cams: dict[str, CameraView]) -> list[CameraView]:
-    """The set's cameras in order; UnknownCamera for one the rig lacks."""
-    views = []
-    for cid in obs.cameras:
-        cam = cams.get(cid)
-        if cam is None:
-            raise UnknownCamera(cid)
-        views.append(cam)
-    return views
-
-
-def build_coefficients(obs: JointObservationSet, cams: dict[str, CameraView]) -> np.ndarray:
-    """Stack the two homogeneous DLT rows per view into a (2n, 4) matrix.
-
-    Row pair per view: x * p3 - p1 and y * p3 - p2, where p1..p3 are the
-    rows of that camera's projection matrix.
-    """
-    P = np.array([cam.P for cam in _views(obs, cams)])
-    rows = np.empty((2 * len(P), 4))
-    rows[0::2] = obs.points[:, :1] * P[:, 2] - P[:, 0]
-    rows[1::2] = obs.points[:, 1:] * P[:, 2] - P[:, 1]
-    return rows
-
-
-def row_weight(t_now: float, t_i: float, lambda_t: float, row_norm: float) -> float:
-    """Staleness decay divided by the row's L2 norm."""
-    if row_norm <= 0:
-        raise ValueError("row_norm must be positive")
-    return float(np.exp(-lambda_t * (t_now - t_i)) / row_norm)
-
-
-def _solve_homogeneous(C: np.ndarray) -> np.ndarray:
-    """Unit null-direction of C via eigen-decomposition of the 4x4 C^T C."""
-    _, vecs = np.linalg.eigh(C.T @ C)
-    return vecs[:, 0]
-
-
-def _check_views(obs: JointObservationSet, cams: dict[str, CameraView]):
-    if len(obs.cameras) < 2:
-        raise InsufficientViews(f"{len(obs.cameras)} view(s); need at least 2")
-    centers = np.array([cam.center for cam in _views(obs, cams)])
-    spread = np.linalg.norm(centers - centers[0], axis=1).max()
-    if spread < 1e-9:
-        raise InsufficientViews("all views share a camera center")
-
-
-def _finish(C: np.ndarray, obs: JointObservationSet, cams: dict[str, CameraView]) -> TriangulationResult:
-    xt = _solve_homogeneous(C)
-    if abs(xt[3]) < 1e-12:
-        raise NearDegenerate("triangulated point is at infinity")
-    X = xt[:3] / xt[3]
-    w = np.array([cams[cid].P for cid in obs.cameras]) @ hom(X)  # (n, 3)
-    if (np.abs(w[:, 2]) < 1e-12).any():
-        res = float("inf")
-    else:
-        res = float(np.hypot(*(w[:, :2] / w[:, 2:] - obs.points).T).sum())
-    return TriangulationResult(X, res / len(obs.cameras), len(obs.cameras))
-
-
-def triangulate(obs: JointObservationSet, cams: dict[str, CameraView]) -> TriangulationResult:
-    """Plain DLT: minimizes ||C X|| over unit homogeneous X."""
-    _check_views(obs, cams)
-    return _finish(build_coefficients(obs, cams), obs, cams)
-
-
-def triangulate_weighted(obs: JointObservationSet, cams: dict[str, CameraView],
-                         lambda_t: float, use_confidence: bool = False) -> TriangulationResult:
-    """Time-weighted DLT for observations taken at different instants.
-
-    Each row is scaled by exp(-lambda_t * staleness) / ||row||, so stale
-    views fade smoothly instead of dragging the solution toward where the
-    joint used to be. With equal timestamps this reduces to row-normalized
-    plain DLT. Callers drop observations older than their staleness horizon
-    before building the set.
-    """
-    _check_views(obs, cams)
-    C = build_coefficients(obs, cams)
-    t_ref = obs.reference_time
-    norms = np.linalg.norm(C, axis=1)
-    if (norms <= 0).any():
-        raise NearDegenerate("zero coefficient row")
-    w = np.empty(len(C))
-    for i, cid in enumerate(obs.cameras):
-        for r in (2 * i, 2 * i + 1):
-            w[r] = row_weight(t_ref, obs.times[i], lambda_t, norms[r])
-        if use_confidence:
-            w[2 * i:2 * i + 2] *= obs.confidences[i]
-    return _finish(C * w[:, None], obs, cams)
+    n, K = vis.shape
+    X = np.full((K, 3), np.nan)
+    ks = np.flatnonzero(vis.sum(axis=0) >= 2)
+    if ks.size == 0:
+        return X
+    pts = xy[:, ks].transpose(1, 0, 2)  # (k, n, 2)
+    rows = pts[..., None] * P[:, 2][:, None] - P[:, :2]  # (k, n, 2, 4)
+    C = np.where(vis[:, ks].T[:, :, None, None], rows, 0.0).reshape(ks.size, 2 * n, 4)
+    x = np.linalg.eigh(C.transpose(0, 2, 1) @ C)[1][:, :, 0]
+    ok = np.abs(x[:, 3]) >= 1e-12
+    X[ks[ok]] = x[ok, :3] / x[ok, 3:]
+    return X

@@ -12,12 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import TrackerConfig, epipolar_affinity_matrix
-from .assignment import partition_cycle_consistent
+from .affinity import TrackerConfig
 from .geometry import CameraView, build_fundamental_table, project_points
-from .reconstruction import InsufficientViews, JointObservationSet, NearDegenerate, \
-    triangulate
-from .tracker import Detection, FrameBatch
+from .tracker import Detection, FrameBatch, cluster_pool
 
 JOINT_NAMES = ["head", "neck", "lsho", "rsho", "lelb", "relb", "lwri", "rwri",
                "lhip", "rhip", "lknee", "rknee", "lank", "rank"]
@@ -324,9 +321,9 @@ def synchronized_groups(frames: list[FrameBatch]) -> list[list[FrameBatch]]:
 def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
                     cfg: TrackerConfig,
                     ftable: dict | None = None):
-    """Per-frame brute-force competitor: cluster all detections of one
-    synchronized frame group by epipolar affinity, then plain-triangulate
-    each cluster. Stateless across frames.
+    """Per-frame brute-force competitor: cluster_pool over all detections of
+    one synchronized frame group, the association the tracker runs only on
+    its unmatched pool. Stateless across frames.
 
     Returns (timestamp, poses, memberships): poses is {cluster_idx: (K, 3)}
     with NaN rows for unplaced joints, memberships maps cluster_idx to the
@@ -334,39 +331,9 @@ def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
     """
     if ftable is None:
         ftable = build_fundamental_table(cams)
-    cam_map = {c.id: c for c in cams}
     dets = [d for f in group for d in f.detections]
     stamp = max(f.timestamp for f in group)
-    if not dets:
-        return stamp, {}, {}
-    ids = [d.camera_id for d in dets]
-    a = epipolar_affinity_matrix(dets, ids, ftable, cfg)
-    part = partition_cycle_consistent(a, cfg.max_exact_partition)
-    poses: dict[int, np.ndarray] = {}
-    members: dict[int, list[Detection]] = {}
-    out_idx = 0
-    for cluster in part.clusters():
-        if len(cluster) < cfg.min_views_init:
-            continue
-        use = [dets[i] for i in cluster]
-        K = use[0].joints.shape[0]
-        pose = np.full((K, 3), np.nan)
-        solved = False
-        masks = [d.valid_mask(cfg.min_joint_confidence) for d in use]
-        for k in range(K):
-            sub = [d for d, m in zip(use, masks) if m[k]]
-            if len(sub) < 2:
-                continue
-            obs = JointObservationSet(tuple(d.camera_id for d in sub),
-                                      [d.joints[k] for d in sub],
-                                      [d.timestamp for d in sub])
-            try:
-                pose[k] = triangulate(obs, cam_map).point
-                solved = True
-            except (InsufficientViews, NearDegenerate):
-                continue
-        if solved:
-            poses[out_idx] = pose
-            members[out_idx] = use
-            out_idx += 1
+    found = cluster_pool(dets, {c.id: c for c in cams}, ftable, cfg)
+    poses = {i: X for i, (_, X) in enumerate(found)}
+    members = {i: [dets[j] for j in c] for i, (c, _) in enumerate(found)}
     return stamp, poses, members

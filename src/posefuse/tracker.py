@@ -16,8 +16,7 @@ from .affinity import EPS_CLOCK, ChronologyViolation, TrackerConfig, \
     epipolar_affinity_matrix
 from .assignment import filter_matches, hungarian_max, partition_cycle_consistent
 from .geometry import CameraView, build_fundamental_table
-from .reconstruction import InsufficientViews, JointObservationSet, NearDegenerate, \
-    UnknownCamera, triangulate
+from .reconstruction import UnknownCamera, triangulate
 
 
 # Largest bound on the sine of the angle between an inverse-iteration answer
@@ -101,15 +100,52 @@ class Detection:
         self.joints = np.asarray(self.joints, dtype=float).reshape(-1, 2)
         self.confidences = np.asarray(self.confidences, dtype=float).reshape(-1)
 
-    def valid_mask(self, min_confidence: float) -> np.ndarray:
-        return (self.confidences >= min_confidence) & np.isfinite(self.joints).all(axis=1)
-
 
 @dataclass
 class FrameBatch:
     camera_id: str
     timestamp: float
     detections: list[Detection]
+
+
+def stack_detections(dets: list[Detection], min_confidence: float):
+    """Joints (M, K, 2), confidences (M, K) and the mask of usable joints:
+    finite, with confidence at least min_confidence."""
+    xy = np.array([d.joints for d in dets])
+    conf = np.array([d.confidences for d in dets])
+    return xy, conf, (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
+
+
+def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
+                 ftable: dict, cfg: TrackerConfig) -> list[tuple[list[int], np.ndarray]]:
+    """Group detections from different cameras into people and triangulate
+    each group: the association that builds new targets from the pool and
+    that the per-frame baseline runs on every frame.
+
+    The pool's epipolar affinity matrix is partitioned cycle-consistently,
+    groups of fewer than min_views_init detections are dropped, and each
+    remaining group is plain-triangulated joint by joint from the members
+    whose joint is usable. Returns (member indices, (K, 3) pose with NaN
+    rows for unsolved joints) for each group with at least one solved
+    joint, in partition order.
+    """
+    if len(dets) < cfg.min_views_init:
+        return []
+    ids = [d.camera_id for d in dets]
+    if len(set(ids)) < 2:
+        return []
+    a = epipolar_affinity_matrix(dets, ids, ftable, cfg)
+    part = partition_cycle_consistent(a, cfg.max_exact_partition)
+    groups = [c for c in part.clusters() if len(c) >= cfg.min_views_init]
+    if not groups:
+        return []
+    xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
+    found = []
+    for c in groups:
+        X = triangulate(np.stack([cameras[ids[i]].P for i in c]), xy[c], vis[c])
+        if not np.isnan(X[:, 0]).all():
+            found.append((c, X))
+    return found
 
 
 @dataclass(frozen=True)
@@ -321,7 +357,7 @@ class CrossViewTracker:
             elif k != self.K:
                 raise ValueError(f"joint count changed from {self.K} to {k}")
             self._ensure_store(k)
-            dxy, dconf, dvm = self._stack(dets)
+            dxy, dconf, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
         if dets and self.targets:
             with np.errstate(all="ignore"):
                 A = self._affinity_core(dxy, dvm, ci, t)
@@ -361,15 +397,8 @@ class CrossViewTracker:
 
     # ------------------------------------------------------------- internals
 
-    def _stack(self, dets: list[Detection]):
-        """Joints (M, K, 2), confidences (M, K) and the usable-joint mask."""
-        dxy = np.array([d.joints for d in dets])
-        dconf = np.array([d.confidences for d in dets])
-        dvm = (dconf >= self.cfg.min_joint_confidence) & np.isfinite(dxy).all(axis=2)
-        return dxy, dconf, dvm
-
     def _affinity_matrix(self, dets: list[Detection], ci: int, t: float) -> np.ndarray:
-        dxy, _, dvm = self._stack(dets)
+        dxy, _, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
         with np.errstate(all="ignore"):
             return self._affinity_core(dxy, dvm, ci, t)
 
@@ -508,25 +537,13 @@ class CrossViewTracker:
         self._vel_ok[sq, kq] = valid
 
     def _initialize_targets(self) -> list[AssignmentRecord]:
-        cfg = self.cfg
-        if sum(map(len, self.pool.values())) < cfg.min_views_init:
-            return []
         items: list[Detection] = []
         for cid in sorted(self.pool):
             items.extend(self.pool[cid])
-        ids = [d.camera_id for d in items]
-        if len(set(ids)) < 2:
-            return []
-        a = epipolar_affinity_matrix(items, ids, self._ftable, cfg)
-        part = partition_cycle_consistent(a, cfg.max_exact_partition)
         records: list[AssignmentRecord] = []
         consumed: set[int] = set()
-        for cluster in part.clusters():
-            if len(cluster) < cfg.min_views_init:
-                continue
-            tgt = self._build_target([items[i] for i in cluster])
-            if tgt is None:
-                continue
+        for cluster, X in cluster_pool(items, self.cameras, self._ftable, self.cfg):
+            tgt = self._build_target([items[i] for i in cluster], X)
             for i in cluster:
                 d = items[i]
                 records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, tgt.id))
@@ -539,41 +556,23 @@ class CrossViewTracker:
             self.pool = kept
         return records
 
-    def _build_target(self, members: list[Detection]) -> Target | None:
-        cfg = self.cfg
-        K = members[0].joints.shape[0]
+    def _build_target(self, members: list[Detection], X: np.ndarray) -> Target:
+        """A new target at the points X (K, 3), NaN where unsolved, holding
+        every usable joint of its member detections as observations."""
         t_ref = max(d.timestamp for d in members)
         s = self._alloc_slot()
-        solved = False
-        vis = {id(d): d.valid_mask(cfg.min_joint_confidence) for d in members}
-        for k in range(K):
-            use = [d for d in members if vis[id(d)][k]]
-            if len(use) < 2:
-                continue
-            obs = JointObservationSet(tuple(d.camera_id for d in use),
-                                      [d.joints[k] for d in use],
-                                      [d.timestamp for d in use],
-                                      [d.confidences[k] for d in use])
-            try:
-                res = triangulate(obs, self.cameras)
-            except (InsufficientViews, NearDegenerate):
-                continue
-            self._joint[s, k, :3] = res.point
-            self._joint[s, k, 3] = t_ref
-            solved = True
-        if not solved:
-            self._free.append(s)
-            return None
-        ks = np.flatnonzero(np.isfinite(self._joint[s, :, 3]))
+        ks = np.flatnonzero(~np.isnan(X[:, 0]))
+        self._joint[s, ks, :3] = X[ks]
+        self._joint[s, ks, 3] = t_ref
         self._hist[s, ks, 0] = self._joint[s, ks, :4]
         self._hist_n[s, ks] = 1
-        for d in members:
+        xy, conf, vis = stack_detections(members, self.cfg.min_joint_confidence)
+        for d, pts, c, v in zip(members, xy, conf, vis):
             ci = self._cam_idx[d.camera_id]
-            v = vis[id(d)]
-            self._obs_xy[s, v, ci] = d.joints[v]
-            self._obs_dlt[s, v, ci] = self._dlt_block(d.joints[v], ci)
+            self._obs_xy[s, v, ci] = pts[v]
+            self._obs_dlt[s, v, ci] = self._dlt_block(pts[v], ci)
             self._obs_t[s, v, ci] = d.timestamp
-            self._obs_conf[s, v, ci] = d.confidences[v]
+            self._obs_conf[s, v, ci] = c[v]
         self._slot_last[s] = t_ref
         tgt = Target(self, self._next_id, s, t_ref)
         self._next_id += 1

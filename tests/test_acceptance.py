@@ -26,7 +26,7 @@ from posefuse.geometry import (build_fundamental_table, epipolar_line,
                                fundamental_from_projections,
                                point_to_line_distance, project)
 from posefuse.io_cli import bench_baseline, bench_scene, bench_tracker
-from posefuse.reconstruction import JointObservationSet, triangulate
+from posefuse.reconstruction import triangulate
 from posefuse.simulator import (ScenarioSpec, baseline_alg_s1, generate,
                                 synchronized_groups)
 
@@ -83,10 +83,8 @@ def test_criterion_02_noiseless_geometry_recovery():
         cams = random_rig(rng, int(rng.integers(2, 7)))
         X = rng.uniform(-1.5, 1.5, size=3) * np.array([1.0, 1.0, 0.6])
         pix = [project(c, X) for c in cams]
-        obs = JointObservationSet(
-            cameras=tuple(c.id for c in cams),
-            points=np.array(pix), times=np.zeros(len(cams)))
-        got = triangulate(obs, {c.id: c for c in cams}).point
+        got = triangulate(np.stack([c.P for c in cams]), np.array(pix)[:, None],
+                          np.ones((len(cams), 1), dtype=bool))[0]
         worst_pt = max(worst_pt, float(np.linalg.norm(got - X)))
         F = fundamental_from_projections(cams[0], cams[1])
         line = epipolar_line(F, pix[0])

@@ -224,7 +224,8 @@ def test_config_validation_and_defaults():
     assert (cfg.lambda_a, cfg.lambda_t) == (5.0, 10.0)
     assert cfg.alpha2d_epi == 30.0
     for bad in [dict(w2d=-0.1), dict(alpha2d=0.0), dict(alpha3d=-1.0),
-                dict(lambda_a=-0.5), dict(velocity_window=1), dict(retire_after=0.0)]:
+                dict(lambda_a=-0.5), dict(velocity_window=1), dict(retire_after=0.0),
+                dict(min_shared_joints=0)]:
         with pytest.raises(ValueError):
             TrackerConfig(**bad)
 

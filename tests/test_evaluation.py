@@ -97,6 +97,15 @@ def test_pcp_matches_by_position_not_id():
     assert rep.overall.score == 100.0
 
 
+def test_one_estimate_near_two_people_matches_only_the_nearer():
+    truth = FixedTruth({0.0: {0: tpose(), 1: tpose(0.3)}})
+    rep = pcp([(0.0, {5: tpose(0.1)})], truth)
+    assert (rep.per_person[0].correct, rep.per_person[1].correct) == (N_EDGES, 0)
+    rows = [({10: (0, 0)}, {0: (0, 0), 1: (20, 0)})] * 3
+    s = mot_metrics({"c": frames_from(rows)}).per_camera["c"]
+    assert (s.fp, s.fn, s.ids) == (0, 3, 0)
+
+
 def test_pcp_nan_joint_fails_its_parts_only():
     est = tpose()
     est[6] = np.nan

@@ -11,7 +11,7 @@ import pytest
 from posefuse import io_cli
 from posefuse.affinity import TrackerConfig
 from posefuse.cli import main
-from posefuse.geometry import RankDeficientP
+from posefuse.geometry import CameraView, RankDeficientP
 from posefuse.simulator import InvalidSpec, ScenarioSpec, generate
 from posefuse.tracker import CrossViewTracker, StepResult, TargetPose
 
@@ -275,3 +275,62 @@ def test_assignments_file_round_trips(tmp_path):
     assert len(recs) == len(truth_obj.det_person)
     keys = {(r.camera_id, r.timestamp, r.index) for r in recs}
     assert keys == set(truth_obj.det_person)
+
+
+def frame_line(t, *dets):
+    return json.dumps({"camera_id": "cam00", "timestamp": t,
+                       "detections": [{"joints": j} for j in dets]})
+
+
+J3 = [[10.0, 20.0, 0.9], None, [30.0, 40.0, 0.8]]
+
+
+@pytest.mark.parametrize("lines, where", [
+    ([frame_line("0.0", [[10.0, "abc", 0.9], None, None])],
+     ":1: detection 0 joint 0: expected numbers"),
+    ([frame_line("0.0", [[10 ** 400, 20.0, 0.9], None, None])],
+     ":1: detection 0 joint 0: expected numbers"),
+    ([frame_line("0.0", J3, J3[:2])],
+     ":1: detection 1: field 'joints' has 2 entries, expected 3"),
+    ([frame_line("0.0", J3), frame_line("0.04", J3 + [None])],
+     ":2: detection 0: field 'joints' has 4 entries, expected 3"),
+    ([frame_line("nan", J3)], ":1: field 'timestamp'"),
+    ([frame_line("0.0", J3), frame_line("inf", J3)], ":2: field 'timestamp'"),
+    ([frame_line("0.0", [[10.0, 20.0, float("nan")], None, None])],
+     ":1: detection 0 joint 0: confidence"),
+])
+def test_malformed_detection_lines_are_parse_errors(tmp_path, capsys, lines, where):
+    cams, _, _ = scene(duration=0.2)
+    calib, bad = tmp_path / "calib.jsonl", tmp_path / "bad.jsonl"
+    io_cli.write_calibration(cams, str(calib))
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(io_cli.ParseError, match="bad.jsonl" + where):
+        io_cli.load_detections(str(bad))
+    assert main(["track", "--calib", str(calib), "--input", str(bad),
+                 "--output", str(tmp_path / "t.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert "bad.jsonl" + where in err
+
+
+@pytest.mark.parametrize("case", ["config_rejected", "shared_center"])
+def test_track_bad_setup_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    cams, frames, _ = scene(duration=0.2)
+    calib, dets = tmp_path / "calib.jsonl", tmp_path / "dets.jsonl"
+    io_cli.write_detections(frames, str(dets))
+    args = ["track", "--calib", str(calib), "--input", str(dets),
+            "--output", str(tmp_path / "t.jsonl")]
+    if case == "config_rejected":
+        io_cli.write_calibration(cams, str(calib))
+        named = tmp_path / "bad.cfg"
+        named.write_text("alpha2d = -1\n")
+        args += ["--config", str(named)]
+    else:
+        named = calib
+        io_cli.write_calibration(cams[:1] + [CameraView(
+            "twin", cams[0].P, cams[0].P_plus, cams[0].center,
+            cams[0].image_size)] + cams[1:], str(calib))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: " + str(named) + ": ")
+    assert err.count("\n") == 1

@@ -1,22 +1,25 @@
-"""Triangulation tests: exactness, weighting behavior, degeneracies."""
+"""Triangulation tests: exactness, weighting behavior, degeneracies.
+
+The scalar solvers from oracles are the references; the batched kernel
+that initialization and the baseline use must match them bit for bit."""
 
 import numpy as np
 import pytest
 
 from posefuse.geometry import CameraView, hom, project
-from posefuse.reconstruction import (
+from posefuse.reconstruction import UnknownCamera, triangulate
+
+from conftest import make_camera, random_rig
+from oracles import (
     InsufficientViews,
     JointObservationSet,
     NearDegenerate,
     TriangulationResult,
-    UnknownCamera,
     build_coefficients,
     row_weight,
-    triangulate,
-    triangulate_weighted,
+    triangulate_joint,
+    triangulate_joint_weighted,
 )
-
-from conftest import make_camera, random_rig
 
 
 def cam_map(cams):
@@ -70,7 +73,7 @@ def test_triangulate_noiseless_exact(rng):
         n = int(rng.integers(2, 6))
         cams = random_rig(rng, n)
         X = rng.uniform(-1.5, 1.5, size=3) + np.array([0.0, 0.0, 1.2])
-        res = triangulate(observe(cams, X), cam_map(cams))
+        res = triangulate_joint(observe(cams, X), cam_map(cams))
         assert np.linalg.norm(res.point - X) < 1e-8
         assert res.residual_px < 1e-6
         assert res.n_views == n
@@ -80,11 +83,11 @@ def test_triangulate_insufficient_and_unknown():
     cams = random_rig(np.random.default_rng(1), 2)
     X = np.array([0.0, 0.0, 1.0])
     with pytest.raises(InsufficientViews):
-        triangulate(JointObservationSet(("cam00",), [project(cams[0], X)], [0.0]),
+        triangulate_joint(JointObservationSet(("cam00",), [project(cams[0], X)], [0.0]),
                     cam_map(cams))
     obs = observe(cams, X)
     with pytest.raises(UnknownCamera):
-        triangulate(obs, {cams[0].id: cams[0]})
+        triangulate_joint(obs, {cams[0].id: cams[0]})
 
 
 def test_triangulate_coincident_centers():
@@ -95,7 +98,7 @@ def test_triangulate_coincident_centers():
     obs = JointObservationSet((cams[0].id, "twin"),
                               [project(cams[0], X), project(twin, X)], [0.0, 0.0])
     with pytest.raises(InsufficientViews):
-        triangulate(obs, {cams[0].id: cams[0], "twin": twin})
+        triangulate_joint(obs, {cams[0].id: cams[0], "twin": twin})
 
 
 def test_triangulate_parallel_rays_near_degenerate():
@@ -105,7 +108,7 @@ def test_triangulate_parallel_rays_near_degenerate():
     b = CameraView.from_projection("b", P2)
     obs = JointObservationSet(("a", "b"), [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
     with pytest.raises(NearDegenerate):
-        triangulate(obs, {"a": a, "b": b})
+        triangulate_joint(obs, {"a": a, "b": b})
 
 
 def test_noisy_median_regression_bound(rng):
@@ -117,7 +120,7 @@ def test_noisy_median_regression_bound(rng):
         cams = random_rig(gen, 4)
         X = gen.uniform(-1.5, 1.5, size=3) + np.array([0.0, 0.0, 1.2])
         obs = observe(cams, X, noise=1.0, rng=gen)
-        res = triangulate(obs, cam_map(cams))
+        res = triangulate_joint(obs, cam_map(cams))
         errs.append(np.linalg.norm(res.point - X))
     med = float(np.median(errs))
     assert med < 0.02
@@ -129,7 +132,7 @@ def test_weighted_equal_times_is_row_normalized_plain(rng):
         cams = random_rig(rng, 3)
         X = rng.uniform(-1.0, 1.0, size=3) + np.array([0.0, 0.0, 1.2])
         obs = observe(cams, X, times=np.full(3, 2.0))
-        got = triangulate_weighted(obs, cam_map(cams), lambda_t=10.0)
+        got = triangulate_joint_weighted(obs, cam_map(cams), lambda_t=10.0)
         # independent oracle: svd of the row-normalized stack
         C = build_coefficients(obs, cam_map(cams))
         Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
@@ -138,7 +141,7 @@ def test_weighted_equal_times_is_row_normalized_plain(rng):
         assert np.linalg.norm(got.point - want) < 1e-9
         assert np.linalg.norm(got.point - X) < 1e-8
         # zero decay rate gives the same solution regardless of timestamps
-        got0 = triangulate_weighted(obs, cam_map(cams), lambda_t=0.0)
+        got0 = triangulate_joint_weighted(obs, cam_map(cams), lambda_t=0.0)
         assert np.linalg.norm(got0.point - got.point) < 1e-9
 
 
@@ -154,8 +157,8 @@ def test_weighted_decays_stale_views(rng):
         X_old = X_now - 0.3 * v
         pts = [project(cams[0], X_now), project(cams[1], X_now), project(cams[2], X_old)]
         obs = JointObservationSet(tuple(c.id for c in cams), pts, [1.0, 1.0, 0.7])
-        w = triangulate_weighted(obs, cam_map(cams), lambda_t=10.0)
-        p = triangulate(obs, cam_map(cams))
+        w = triangulate_joint_weighted(obs, cam_map(cams), lambda_t=10.0)
+        p = triangulate_joint(obs, cam_map(cams))
         if np.linalg.norm(w.point - X_now) < np.linalg.norm(p.point - X_now):
             wins += 1
     assert wins >= 0.95 * trials
@@ -168,8 +171,8 @@ def test_confidence_weighting_downweights_views(rng):
     pts[2] = pts[2] + np.array([40.0, -25.0])  # corrupted third view
     obs = JointObservationSet(tuple(c.id for c in cams), pts, np.zeros(3),
                               confidences=[1.0, 1.0, 1e-6])
-    with_conf = triangulate_weighted(obs, cam_map(cams), 10.0, use_confidence=True)
-    without = triangulate_weighted(obs, cam_map(cams), 10.0, use_confidence=False)
+    with_conf = triangulate_joint_weighted(obs, cam_map(cams), 10.0, use_confidence=True)
+    without = triangulate_joint_weighted(obs, cam_map(cams), 10.0, use_confidence=False)
     err_with = np.linalg.norm(with_conf.point - X)
     err_without = np.linalg.norm(without.point - X)
     assert err_with < 1e-4
@@ -179,6 +182,47 @@ def test_confidence_weighting_downweights_views(rng):
 def test_result_shape():
     cams = random_rig(np.random.default_rng(9), 2)
     X = np.array([0.1, 0.2, 1.3])
-    res = triangulate(observe(cams, X), cam_map(cams))
+    res = triangulate_joint(observe(cams, X), cam_map(cams))
     assert isinstance(res, TriangulationResult)
     assert res.point.shape == (3,)
+
+
+def test_kernel_matches_per_joint_oracle_bit_for_bit():
+    gen = np.random.default_rng(4242)
+    checked = 0
+    for _ in range(200):
+        n, K = int(gen.integers(2, 8)), 14
+        cams = random_rig(gen, n)
+        X = gen.uniform(-1.5, 1.5, size=(K, 3)) + np.array([0.0, 0.0, 1.2])
+        xy = np.array([[project(c, x) for x in X] for c in cams])
+        xy += gen.normal(0.0, 2.0, xy.shape)
+        vis = gen.random((n, K)) < 0.7
+        # a view that does not see a joint may still carry a finite point
+        xy[~vis & (gen.random((n, K)) < 0.5)] = np.nan
+        got = triangulate(np.stack([c.P for c in cams]), xy, vis)
+        for k in range(K):
+            seen = np.flatnonzero(vis[:, k])
+            want = np.full(3, np.nan)
+            if len(seen) >= 2:
+                obs = JointObservationSet(tuple(cams[i].id for i in seen),
+                                          xy[seen, k], np.zeros(len(seen)))
+                want = triangulate_joint(obs, cam_map(cams)).point
+                checked += 1
+            assert np.array_equal(got[k], want, equal_nan=True)
+    assert checked >= 1500
+
+
+def test_kernel_nan_for_one_view_and_parallel_rays():
+    cams = random_rig(np.random.default_rng(3), 3)
+    X = np.array([[0.1, 0.2, 1.3], [0.4, -0.3, 0.9]])
+    xy = np.array([[project(c, x) for x in X] for c in cams])
+    vis = np.array([[True, True], [True, False], [True, False]])
+    got = triangulate(np.stack([c.P for c in cams]), xy, vis)
+    assert np.linalg.norm(got[0] - X[0]) < 1e-8
+    assert np.isnan(got[1]).all()
+    # two views one unit apart along x, both looking down +z at the
+    # principal point: their rays are parallel
+    P = np.stack([np.hstack([np.eye(3), np.zeros((3, 1))]),
+                  np.hstack([np.eye(3), np.array([[-1.0], [0.0], [0.0]])])])
+    got = triangulate(P, np.zeros((2, 1, 2)), np.ones((2, 1), dtype=bool))
+    assert np.isnan(got).all()

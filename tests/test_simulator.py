@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from posefuse.affinity import TrackerConfig
-from posefuse.geometry import project_points
+from posefuse.geometry import build_fundamental_table, project_points
 from posefuse.simulator import (InvalidSpec, ScenarioSpec, baseline_alg_s1,
                                 generate, make_rig, synchronized_groups,
                                 N_JOINTS, _PersonMotion)
+
+from oracles import triangulate_group
 
 # skeleton edges with their generating bone-table keys
 BONE_EDGES = [
@@ -235,3 +237,19 @@ def test_baseline_separates_two_people():
     for ci, dets in members.items():
         ids = {truth.det_person[(d.camera_id, d.timestamp, d.index)] for d in dets}
         assert len(ids) == 1
+
+
+def test_baseline_poses_match_per_joint_oracle():
+    cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=6, duration=1.0,
+                                            seed=41, noise_sigma=2.0, dropout=0.15))
+    cfg = TrackerConfig()
+    ftable = build_fundamental_table(cams)
+    cam_map = {c.id: c for c in cams}
+    checked = 0
+    for group in synchronized_groups(frames):
+        _, poses, members = baseline_alg_s1(group, cams, cfg, ftable)
+        for i, pose in poses.items():
+            want = triangulate_group(members[i], cam_map, cfg.min_joint_confidence)
+            assert np.array_equal(pose, want, equal_nan=True)
+            checked += 1
+    assert checked >= 50

@@ -9,10 +9,12 @@ import pytest
 
 from posefuse.affinity import (ChronologyViolation, TrackerConfig, body_affinity,
                                estimate_velocity)
-from posefuse.reconstruction import (JointObservationSet, UnknownCamera,
-                                     build_coefficients, triangulate_weighted)
+from posefuse.reconstruction import UnknownCamera
 from posefuse.simulator import ScenarioSpec, generate
 from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, null_directions
+
+from oracles import (JointObservationSet, build_coefficients, triangulate_group,
+                     triangulate_joint, triangulate_joint_weighted)
 
 
 def run_stream(tracker, frames):
@@ -86,6 +88,26 @@ def test_initialization_is_exact_noiseless():
     assert mean_err(tr.targets[0].joint_xyz, pose) <= 1e-6
     got = {r.target_id for r in out.assignments}
     assert got == {tr.targets[0].id}
+
+
+def test_initialized_targets_match_per_joint_oracle():
+    cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=5, duration=2.0,
+                                            seed=37, noise_sigma=2.0, dropout=0.15))
+    tr = CrossViewTracker(cams)
+    built = []
+    build = tr._build_target
+
+    def spy(members, X):
+        tg = build(members, X)
+        built.append((members, tg.joint_xyz.copy()))
+        return tg
+
+    tr._build_target = spy
+    run_stream(tr, frames)
+    assert len(built) >= 3
+    for members, got in built:
+        want = triangulate_group(members, tr.cameras, tr.cfg.min_joint_confidence)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_single_camera_never_initializes():
@@ -236,7 +258,7 @@ def test_update_matches_weighted_triangulation_reference():
                                       [fresh[c][0] for c in fresh],
                                       [fresh[c][2] for c in fresh],
                                       [fresh[c][1] for c in fresh])
-            ref = triangulate_weighted(obs, tr.cameras, tr.cfg.lambda_t)
+            ref = triangulate_joint_weighted(obs, tr.cameras, tr.cfg.lambda_t)
             assert np.allclose(js.point, ref.point, atol=1e-9)
             checked += 1
     assert checked >= 20
@@ -261,7 +283,7 @@ def test_null_directions_paths_match_weighted_triangulation():
         age = np.repeat(obs.reference_time - obs.times, 2)
         Cw = C * (np.exp(-lam * age) / np.linalg.norm(C, axis=1))[:, None]
         systems.append(Cw.T @ Cw)
-        refs.append(triangulate_weighted(obs, cam_map, lam).point)
+        refs.append(triangulate_joint_weighted(obs, cam_map, lam).point)
     AtA, ref = np.array(systems), np.array(refs)
     assert len(ref) >= 10
 
@@ -296,7 +318,6 @@ def test_velocity_matches_history_regression_reference():
 
 
 def test_unweighted_mode_matches_plain_reference():
-    from posefuse.reconstruction import triangulate
     spec = ScenarioSpec(n_people=1, n_cameras=4, duration=1.0, seed=19,
                         noise_sigma=2.0)
     cams, frames, _ = generate(spec)
@@ -318,7 +339,7 @@ def test_unweighted_mode_matches_plain_reference():
                                   [fresh[c][0] for c in fresh],
                                   [fresh[c][2] for c in fresh],
                                   [fresh[c][1] for c in fresh])
-        ref = triangulate(obs, tr.cameras)
+        ref = triangulate_joint(obs, tr.cameras)
         assert np.allclose(js.point, ref.point, atol=1e-9)
         checked += 1
     assert checked >= 10
