@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # stands in for -inf during the assignment solve; any matching that avoids a
 # forbidden pair beats any matching that includes one
@@ -17,15 +16,104 @@ def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-total-weight assignment over a dense score matrix.
 
     Rectangular inputs match min(N, M) pairs. Entries of -inf are never part
-    of the result; their rows/columns simply stay unmatched.
+    of the result; their rows/columns simply stay unmatched. NaN or +inf
+    entries raise ValueError. Pairs come sorted by row.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return []
-    forbidden = a == -np.inf
-    rows, cols = linear_sum_assignment(np.where(forbidden, _FORBIDDEN, a), maximize=True)
-    keep = ~forbidden[rows, cols]
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    nr, nc = a.shape
+    tall = nc < nr
+    score = (a.T if tall else a).tolist()
+    # a finite total means every entry is finite, which is the common case
+    screened = not math.isfinite(sum(map(sum, score)))
+    if screened:
+        if np.isnan(a).any() or (a == math.inf).any():
+            raise ValueError("matrix contains invalid numeric entries")
+        score = [[_FORBIDDEN if x == -math.inf else x for x in row] for row in score]
+    if tall:
+        pairs = sorted((r, c) for c, r in enumerate(_assign_max(score, nc, nr)))
+    else:
+        pairs = list(enumerate(_assign_max(score, nr, nc)))
+    if screened:
+        pairs = [(r, c) for r, c in pairs if a[r, c] != -math.inf]
+    return pairs
+
+
+def _assign_max(score: list[list[float]], nr: int, nc: int) -> list[int]:
+    """Column of each row in a maximum-score assignment, for finite scores
+    with nr <= nc.
+
+    Shortest augmenting paths over the costs -score with dual variables u, v
+    (Crouse, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 2016), in the loop order of scipy's linear_sum_assignment, so ties
+    resolve the same way: each row's Dijkstra scans the columns still in play
+    from a list that starts in descending index order and drops a chosen
+    column by swapping the last entry into its place; the lowest reduced cost
+    wins, and a tie goes to a column that has no row yet. Subtracting a
+    score is the same IEEE operation as adding its cost, so every reduced
+    cost equals scipy's bit for bit.
+    """
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # The first scan, from the free row `cur` (u[cur] is still 0), sees
+        # every column in descending order: of the tied lowest costs it keeps
+        # the lowest-index free column, else the highest-index one.
+        dist = [-x - y for x, y in zip(score[cur], v)]
+        low = min(dist)
+        j = dist.index(low)
+        if row4col[j] >= 0:
+            ties = [k for k in range(j, nc) if dist[k] == low]
+            free = [k for k in ties if row4col[k] < 0]
+            j = free[0] if free else ties[-1]
+        if row4col[j] < 0:
+            u[cur] = low
+            row4col[j] = cur
+            col4row[cur] = j
+            continue
+        path = [cur] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        remaining[nc - 1 - j] = remaining[-1]
+        remaining.pop()
+        rows_seen = [cur]
+        cols_seen = [j]
+        while row4col[j] >= 0:
+            i = row4col[j]
+            rows_seen.append(i)
+            si, ui, base = score[i], u[i], low
+            low, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = base - si[j] - ui - v[j]
+                if r < dist[j]:
+                    path[j] = i
+                    dist[j] = r
+                else:
+                    r = dist[j]
+                if r < low or (r == low and row4col[j] < 0):
+                    low, index = r, it
+            if low == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += low
+        for i in rows_seen[1:]:
+            u[i] += low - dist[col4row[i]]
+        for k in cols_seen:
+            v[k] -= low - dist[k]
+        # augment along the path that ends at the free column j
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def filter_matches(pairs, a: np.ndarray, threshold: float):
@@ -74,10 +162,9 @@ def partition_cycle_consistent(a: np.ndarray, max_exact: int = 12) -> Partition:
         labels = _partition_exact(a)
     else:
         labels = _partition_greedy(a)
-    if __debug__:
-        for i in range(n):
-            for j in range(i + 1, n):
-                assert not (np.isneginf(a[i, j]) and labels[i] == labels[j])
+    # no forbidden pair (i < j) shares a label
+    assert not ((a == -np.inf) & (labels[:, None] == labels)
+                & (np.arange(n)[:, None] < np.arange(n))).any()
     return Partition(_canonical_labels(labels))
 
 

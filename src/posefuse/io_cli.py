@@ -16,10 +16,6 @@ import numpy as np
 
 from .affinity import TrackerConfig
 from .geometry import CameraView
-# .tracker first: it imports scipy.optimize, and under posefuse.cli this
-# order runs that import at a stack depth where it is fast. One frame
-# deeper, scipy.special's import took about 0.15 s more on CPython 3.11
-# (with 14k more page faults), a fifth of `posefuse track` set-up.
 from .tracker import AssignmentRecord, CrossViewTracker, Detection, FrameBatch, \
     StepResult
 from .simulator import GroundTruth, ScenarioSpec, baseline_alg_s1, generate, \
@@ -54,6 +50,13 @@ def _field(obj: dict, key: str, path: str, lineno: int):
     return obj[key]
 
 
+def _camera_id(obj: dict, path: str, lineno: int) -> str:
+    cid = _field(obj, "camera_id", path, lineno)
+    if not isinstance(cid, str):
+        raise ParseError(f"{path}:{lineno}: field 'camera_id' must be a string")
+    return cid
+
+
 def _parse_ts(raw, path: str, lineno: int, key: str = "timestamp") -> float:
     try:
         t = float(raw)
@@ -62,6 +65,25 @@ def _parse_ts(raw, path: str, lineno: int, key: str = "timestamp") -> float:
     if not math.isfinite(t):
         raise ParseError(f"{path}:{lineno}: field {key!r}: bad timestamp {raw!r}")
     return t
+
+
+def _parse_int(raw, path: str, lineno: int, what: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}:{lineno}: {what}: expected an integer, "
+                         f"got {raw!r}") from None
+
+
+def _parse_points(raw, path: str, lineno: int, what: str) -> np.ndarray:
+    """A list of [X, Y, Z] number rows as an (n, 3) float array."""
+    try:
+        if isinstance(raw, list) and all(isinstance(r, list) and len(r) == 3
+                                         for r in raw):
+            return np.array([[float(x) for x in r] for r in raw]).reshape(-1, 3)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParseError(f"{path}:{lineno}: {what}: expected a list of [X, Y, Z] rows")
 
 
 # ---------------------------------------------------------------- calibration
@@ -112,9 +134,7 @@ def parse_frame_line(line: str, path: str, lineno: int,
     joints: n_joints when given (the count of earlier frames of the same
     stream), else the first detection's."""
     obj = _loads(line, path, lineno)
-    cid = _field(obj, "camera_id", path, lineno)
-    if not isinstance(cid, str):
-        raise ParseError(f"{path}:{lineno}: field 'camera_id' must be a string")
+    cid = _camera_id(obj, path, lineno)
     t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
     raw_dets = _field(obj, "detections", path, lineno)
     if not isinstance(raw_dets, list):
@@ -224,7 +244,12 @@ def load_tracks(path: str) -> list[TrackRow]:
             t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
             targets: dict[int, np.ndarray] = {}
             times: dict[int, np.ndarray] = {}
-            for tg in _field(obj, "targets", path, lineno):
+            raw_targets = _field(obj, "targets", path, lineno)
+            if not isinstance(raw_targets, list):
+                raise ParseError(f"{path}:{lineno}: field 'targets' must be a list")
+            for tg in raw_targets:
+                if not isinstance(tg, dict):
+                    raise ParseError(f"{path}:{lineno}: each target must be an object")
                 tid = tg.get("id")
                 if not isinstance(tid, int):
                     raise ParseError(f"{path}:{lineno}: target id must be an integer")
@@ -239,8 +264,16 @@ def load_tracks(path: str) -> list[TrackRow]:
                     if not isinstance(entry, list) or len(entry) != 3:
                         raise ParseError(f"{path}:{lineno}: target {tid} joint {j}: "
                                          "expected [X, Y, Z] or null")
-                    xyz[j] = [float(v) for v in entry]
-                for j, entry in enumerate(tg.get("joint_times") or []):
+                    try:
+                        xyz[j] = [float(v) for v in entry]
+                    except (TypeError, ValueError, OverflowError):
+                        raise ParseError(f"{path}:{lineno}: target {tid} joint {j}: "
+                                         f"expected numbers, got {entry!r}") from None
+                raw_times = tg.get("joint_times") or []
+                if not isinstance(raw_times, list) or len(raw_times) > len(joints):
+                    raise ParseError(f"{path}:{lineno}: target {tid}: 'joint_times' "
+                                     "must be a list with at most one entry per joint")
+                for j, entry in enumerate(raw_times):
                     if entry is not None:
                         jt[j] = _parse_ts(entry, path, lineno, "joint_times")
                 targets[tid] = xyz
@@ -276,15 +309,21 @@ def load_truth(path: str) -> GroundTruth:
                 continue
             obj = _loads(line, path, lineno)
             kind = _field(obj, "kind", path, lineno)
-            cid = _field(obj, "camera_id", path, lineno)
+            cid = _camera_id(obj, path, lineno)
             t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
             if kind == "pose":
-                people = {int(k): np.array(v, dtype=float)
-                          for k, v in _field(obj, "people", path, lineno).items()}
+                raw_people = _field(obj, "people", path, lineno)
+                if not isinstance(raw_people, dict):
+                    raise ParseError(f"{path}:{lineno}: field 'people' must be an object")
+                people = {_parse_int(k, path, lineno, "person id"):
+                          _parse_points(v, path, lineno, f"person {k}")
+                          for k, v in raw_people.items()}
                 truth.pose_frames.append((cid, t, people))
             elif kind == "det":
-                key = (cid, t, int(_field(obj, "index", path, lineno)))
-                truth.det_person[key] = int(_field(obj, "person", path, lineno))
+                key = (cid, t, _parse_int(_field(obj, "index", path, lineno), path,
+                                          lineno, "field 'index'"))
+                truth.det_person[key] = _parse_int(_field(obj, "person", path, lineno),
+                                                   path, lineno, "field 'person'")
             else:
                 raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
     return truth
@@ -304,11 +343,16 @@ def load_assignments(path: str) -> list[AssignmentRecord]:
             if not line.strip():
                 continue
             obj = _loads(line, path, lineno)
+            cid = _camera_id(obj, path, lineno)
+            target = _field(obj, "target", path, lineno)
+            if target is not None and not isinstance(target, int):
+                raise ParseError(f"{path}:{lineno}: field 'target' must be an integer "
+                                 "or null")
             out.append(AssignmentRecord(
-                _field(obj, "camera_id", path, lineno),
-                _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno),
-                int(_field(obj, "index", path, lineno)),
-                _field(obj, "target", path, lineno)))
+                cid, _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno),
+                _parse_int(_field(obj, "index", path, lineno), path, lineno,
+                           "field 'index'"),
+                target))
     return out
 
 

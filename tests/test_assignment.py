@@ -1,7 +1,9 @@
 """Matching and partition tests against brute-force oracles."""
 
 import numpy as np
+import pytest
 
+from posefuse import assignment
 from posefuse.assignment import (
     Partition,
     filter_matches,
@@ -72,6 +74,39 @@ def test_hungarian_empty():
     assert hungarian_max(np.zeros((3, 0))) == []
 
 
+def test_hungarian_pairs_equal_scipy_ties_included():
+    # scipy serves only as an oracle here: the solver ports its loop order,
+    # so even among tied optima it must pick the same pairs
+    lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(2016)
+    for trial in range(12000):
+        n, m = (int(x) for x in rng.integers(1, 9, size=2))
+        kind = trial % 4
+        if kind == 0:
+            a = rng.normal(size=(n, m))
+        elif kind == 1:
+            a = rng.integers(-2, 3, size=(n, m)).astype(float)
+        elif kind == 2:
+            a = rng.integers(0, 2, size=(n, m)).astype(float)
+        else:
+            a = np.full((n, m), float(rng.integers(-3, 4)))
+        if trial % 3 == 0:
+            a[rng.random((n, m)) < 0.3] = -np.inf
+        forbidden = a == -np.inf
+        rows, cols = lsa(np.where(forbidden, -1e15, a), maximize=True)
+        keep = ~forbidden[rows, cols]
+        want = list(zip(rows[keep].tolist(), cols[keep].tolist()))
+        assert hungarian_max(a) == want, a
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_hungarian_rejects_nan_and_plus_inf(bad):
+    a = np.array([[1.0, 2.0], [3.0, float("-inf")]])
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        hungarian_max(a)
+
+
 def test_filter_matches_threshold():
     a = np.array([[0.5, -1.0], [-2.0, 0.0]])
     pairs = [(0, 0), (1, 1)]
@@ -130,6 +165,18 @@ def test_partition_camera_exclusivity_holds_even_with_positive_forbidden_neighbo
     ])
     part = partition_cycle_consistent(a)
     assert part.labels[1] != part.labels[2]
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O strips the check")
+def test_partition_rejects_a_co_clustered_forbidden_pair(monkeypatch):
+    a = np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = float("-inf")
+    monkeypatch.setattr(assignment, "_partition_exact",
+                        lambda a: np.zeros(a.shape[0], dtype=int))
+    with pytest.raises(AssertionError):
+        partition_cycle_consistent(a)
+    a[0, 2] = a[2, 0] = 0.0
+    assert partition_cycle_consistent(a).labels.tolist() == [0, 0, 0]
 
 
 def test_partition_greedy_path_feasible_and_sane():

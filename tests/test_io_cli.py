@@ -3,16 +3,20 @@ simulate -> track -> evaluate pipeline on a noiseless scene."""
 
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import posefuse
 from posefuse import io_cli
 from posefuse.affinity import TrackerConfig
 from posefuse.cli import main
 from posefuse.geometry import CameraView, RankDeficientP
-from posefuse.simulator import InvalidSpec, ScenarioSpec, generate
+from posefuse.simulator import N_JOINTS, InvalidSpec, ScenarioSpec, generate
 from posefuse.tracker import CrossViewTracker, StepResult, TargetPose
 
 
@@ -334,3 +338,83 @@ def test_track_bad_setup_input_exits_2_naming_the_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: " + str(named) + ": ")
     assert err.count("\n") == 1
+
+
+def truth_line(people):
+    return json.dumps({"kind": "pose", "camera_id": "cam00",
+                       "timestamp": "0.000000000", "people": people})
+
+
+def track_line(targets):
+    return json.dumps({"timestamp": "0.000000000", "targets": targets})
+
+
+def assignment_line(**kw):
+    return json.dumps(dict({"camera_id": "cam00", "timestamp": "0.000000000",
+                            "index": 0, "target": 0}, **kw))
+
+
+POSE = [[0.1 * j, 0.0, 1.0 + 0.05 * j] for j in range(N_JOINTS)]
+TARGET = {"id": 0, "joints": POSE, "joint_times": ["0.000000000"] * N_JOINTS}
+VALID_EVALUATE_INPUTS = {
+    "truth": truth_line({"0": POSE}) + "\n" + json.dumps(
+        {"kind": "det", "camera_id": "cam00", "timestamp": "0.000000000",
+         "index": 0, "person": 0}),
+    "tracks": track_line([TARGET]),
+    "assignments": assignment_line(),
+}
+
+
+@pytest.mark.parametrize("bad, content, where", [
+    ("truth", truth_line({"x": POSE}), ":1: person id: expected an integer"),
+    ("truth", truth_line([POSE]), ":1: field 'people' must be an object"),
+    ("truth", truth_line({"0": [[0.0, 0.0], [0.1, 0.0]]}),
+     ":1: person 0: expected a list of [X, Y, Z] rows"),
+    ("truth", truth_line({"0": [[0.0, "a", 1.0]] * 3}),
+     ":1: person 0: expected a list of [X, Y, Z] rows"),
+    ("truth", json.dumps({"kind": "det", "camera_id": ["cam00"], "timestamp": "0.0",
+                          "index": 0, "person": 0}),
+     ":1: field 'camera_id' must be a string"),
+    ("tracks", track_line(5), ":1: field 'targets' must be a list"),
+    ("tracks", track_line([1]), ":1: each target must be an object"),
+    ("tracks", track_line([dict(TARGET, joints=[[0.0, "a", 1.0]] + POSE[1:])]),
+     ":1: target 0 joint 0: expected numbers"),
+    ("tracks", track_line([dict(TARGET, joint_times=[None] * (N_JOINTS + 1))]),
+     ":1: target 0: 'joint_times' must be a list with at most one entry per joint"),
+    ("assignments", assignment_line(target=[0]),
+     ":1: field 'target' must be an integer or null"),
+    ("assignments", assignment_line(index="x"), ":1: field 'index': expected an integer"),
+    ("assignments", assignment_line(camera_id=0), ":1: field 'camera_id' must be a string"),
+], ids=["person-id", "people-list", "pose-pairs", "pose-text", "truth-camera",
+        "targets-number", "target-number", "joint-text", "joint-times-long",
+        "assignment-target", "assignment-index", "assignment-camera"])
+def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, content,
+                                                    where):
+    files = {}
+    for kind, text in dict(VALID_EVALUATE_INPUTS, **{bad: content}).items():
+        files[kind] = tmp_path / f"{kind}.jsonl"
+        files[kind].write_text(text + "\n")
+    load = {"truth": io_cli.load_truth, "tracks": io_cli.load_tracks,
+            "assignments": io_cli.load_assignments}[bad]
+    named = f"{bad}.jsonl" + where
+    with pytest.raises(io_cli.ParseError, match=re.escape(named)):
+        load(str(files[bad]))
+    args = ["evaluate", "--report", str(tmp_path / "r.json")]
+    for kind, path in files.items():
+        args += [f"--{kind}", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone cost most of `posefuse track` set-up; keep it out
+    src = os.path.dirname(os.path.dirname(posefuse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, posefuse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
