@@ -86,6 +86,13 @@ def _parse_points(raw, path: str, lineno: int, what: str) -> np.ndarray:
     raise ParseError(f"{path}:{lineno}: {what}: expected a list of [X, Y, Z] rows")
 
 
+def _check_joint_count(n: int, n_joints: int | None, path: str, lineno: int,
+                       what: str) -> None:
+    if n_joints is not None and n != n_joints:
+        raise ParseError(f"{path}:{lineno}: {what}: has {n} joints, "
+                         f"expected {n_joints}")
+
+
 # ---------------------------------------------------------------- calibration
 
 def load_calibration(path: str) -> list[CameraView]:
@@ -128,18 +135,30 @@ def write_calibration(cams: list[CameraView], path: str) -> None:
 
 # -------------------------------------------------------------- detections
 
+# the [x, y, confidence] row of a joint that is null or has a non-finite x or y
+_MISSING_JOINT = (math.nan, math.nan, 0.0)
+
+
 def parse_frame_line(line: str, path: str, lineno: int,
                      n_joints: int | None = None) -> FrameBatch:
     """One camera frame. Every detection must list the same number of
     joints: n_joints when given (the count of earlier frames of the same
-    stream), else the first detection's."""
+    stream), else the first detection's.
+
+    The values of all detections go into one flat list, which becomes one
+    (M, K, 3) array of [x, y, confidence] rows; each Detection holds views
+    of its rows. A joint that is null or has a non-finite x or y is a NaN
+    row with confidence 0."""
     obj = _loads(line, path, lineno)
     cid = _camera_id(obj, path, lineno)
     t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
     raw_dets = _field(obj, "detections", path, lineno)
     if not isinstance(raw_dets, list):
         raise ParseError(f"{path}:{lineno}: field 'detections' must be a list")
-    dets: list[Detection] = []
+    if not raw_dets:
+        return FrameBatch(cid, t, [])
+    isfinite = math.isfinite
+    flat: list[float] = []
     for i, rd in enumerate(raw_dets):
         if not isinstance(rd, dict) or "joints" not in rd:
             raise ParseError(f"{path}:{lineno}: detection {i} must carry 'joints'")
@@ -153,27 +172,25 @@ def parse_frame_line(line: str, path: str, lineno: int,
         elif k != n_joints:
             raise ParseError(f"{path}:{lineno}: detection {i}: field 'joints' has "
                              f"{k} entries, expected {n_joints}")
-        xy = np.full((k, 2), np.nan)
-        conf = np.zeros(k)
         for j, entry in enumerate(joints):
             if entry is None:
+                flat += _MISSING_JOINT
                 continue
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
                                  "expected [x, y, confidence] or null")
             try:
-                x, y, c = (float(v) for v in entry)
+                x, y, c = float(entry[0]), float(entry[1]), float(entry[2])
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
                                  f"expected numbers, got {entry!r}") from None
-            if not math.isfinite(c):
+            if not isfinite(c):
                 raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
                                  f"confidence {entry[2]!r} is not finite")
-            if math.isfinite(x) and math.isfinite(y):
-                xy[j] = (x, y)
-                conf[j] = c
-        dets.append(Detection(cid, t, xy, conf, index=i))
-    return FrameBatch(cid, t, dets)
+            flat += (x, y, c) if isfinite(x) and isfinite(y) else _MISSING_JOINT
+    rows = np.array(flat).reshape(len(raw_dets), n_joints, 3)
+    return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
+                               for i, r in enumerate(rows)])
 
 
 def iter_detections(path: str):
@@ -192,17 +209,16 @@ def load_detections(path: str) -> list[FrameBatch]:
     return list(iter_detections(path))
 
 
+def _finite_rows(values: np.ndarray, finite: np.ndarray) -> list:
+    """values.tolist(), with None in place of each row whose flag in
+    `finite` is false."""
+    return [row if ok else None for row, ok in zip(values.tolist(), finite.tolist())]
+
+
 def frame_record(frame: FrameBatch) -> dict:
-    dets = []
-    for d in frame.detections:
-        joints = []
-        for j in range(d.joints.shape[0]):
-            if np.isfinite(d.joints[j]).all():
-                joints.append([float(d.joints[j, 0]), float(d.joints[j, 1]),
-                               float(d.confidences[j])])
-            else:
-                joints.append(None)
-        dets.append({"joints": joints})
+    dets = [{"joints": _finite_rows(np.column_stack((d.joints, d.confidences)),
+                                    np.isfinite(d.joints).all(axis=1))}
+            for d in frame.detections]
     return {"camera_id": frame.camera_id, "timestamp": fmt_ts(frame.timestamp),
             "detections": dets}
 
@@ -223,18 +239,35 @@ class TrackRow:
 
 
 def track_record(step: StepResult) -> dict:
+    """The wire record of one step: targets in id order, each joint [X, Y, Z]
+    or None, each joint time a timestamp string or None.
+
+    The poses' joints and joint times are checked for finiteness and turned
+    into Python values in one pass each; every distinct joint time is
+    formatted once."""
+    poses = sorted(step.poses, key=lambda p: p.id)
     targets = []
-    for p in sorted(step.poses, key=lambda p: p.id):
-        joints = []
-        for row in p.joints:
-            joints.append([float(row[0]), float(row[1]), float(row[2])]
-                          if np.isfinite(row).all() else None)
-        times = [fmt_ts(t) if np.isfinite(t) else None for t in p.joint_times]
-        targets.append({"id": p.id, "joints": joints, "joint_times": times})
+    if poses:
+        xyz = np.concatenate([p.joints for p in poses], dtype=float)
+        jt = np.concatenate([p.joint_times for p in poses], dtype=float)
+        joints = _finite_rows(xyz, np.isfinite(xyz).all(axis=1))
+        # keyed by bit pattern: 0.0 and -0.0 are equal but print differently
+        keys = jt.view(np.int64).tolist()
+        text = {k: fmt_ts(t) for k, t in dict(zip(keys, jt.tolist())).items()}
+        times = [text[k] if ok else None
+                 for k, ok in zip(keys, np.isfinite(jt).tolist())]
+        a = b = 0
+        for p in poses:
+            n, m = len(p.joints), len(p.joint_times)
+            targets.append({"id": p.id, "joints": joints[a:a + n],
+                            "joint_times": times[b:b + m]})
+            a += n
+            b += m
     return {"timestamp": fmt_ts(step.timestamp), "targets": targets}
 
 
-def load_tracks(path: str) -> list[TrackRow]:
+def load_tracks(path: str, n_joints: int | None = None) -> list[TrackRow]:
+    """Track rows; with n_joints, every target must list that many joints."""
     rows: list[TrackRow] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -256,6 +289,8 @@ def load_tracks(path: str) -> list[TrackRow]:
                 joints = tg.get("joints")
                 if not isinstance(joints, list):
                     raise ParseError(f"{path}:{lineno}: target {tid}: bad 'joints'")
+                _check_joint_count(len(joints), n_joints, path, lineno,
+                                   f"target {tid}")
                 xyz = np.full((len(joints), 3), np.nan)
                 jt = np.full(len(joints), np.nan)
                 for j, entry in enumerate(joints):
@@ -301,7 +336,8 @@ def write_truth(truth: GroundTruth, path: str) -> None:
                                "person": pid}) + "\n")
 
 
-def load_truth(path: str) -> GroundTruth:
+def load_truth(path: str, n_joints: int | None = None) -> GroundTruth:
+    """Ground truth; with n_joints, every pose must hold that many joints."""
     truth = GroundTruth(pose_frames=[], det_person={}, noise={})
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -318,6 +354,9 @@ def load_truth(path: str) -> GroundTruth:
                 people = {_parse_int(k, path, lineno, "person id"):
                           _parse_points(v, path, lineno, f"person {k}")
                           for k, v in raw_people.items()}
+                for pid, pose in people.items():
+                    _check_joint_count(len(pose), n_joints, path, lineno,
+                                       f"person {pid}")
                 truth.pose_frames.append((cid, t, people))
             elif kind == "det":
                 key = (cid, t, _parse_int(_field(obj, "index", path, lineno), path,

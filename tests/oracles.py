@@ -4,13 +4,16 @@ Nothing here imports from the package's solver paths; these are the slow,
 obviously-correct references the fast implementations are checked against.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
 
 from posefuse.geometry import CameraView, hom
+from posefuse.io_cli import ParseError, _camera_id, _field, _loads, _parse_ts, fmt_ts
 from posefuse.reconstruction import UnknownCamera
+from posefuse.tracker import Detection, FrameBatch
 
 
 def brute_force_assignment_total(a: np.ndarray) -> float:
@@ -250,3 +253,66 @@ def triangulate_group(dets, cams: dict[str, CameraView],
         except (InsufficientViews, NearDegenerate):
             continue
     return pose
+
+
+# ------------------------------------------------------------------ wire format
+
+def track_record(step) -> dict:
+    """Per-row reference for io_cli.track_record: each joint row and joint
+    time is checked and converted on its own."""
+    targets = []
+    for p in sorted(step.poses, key=lambda p: p.id):
+        joints = []
+        for row in p.joints:
+            joints.append([float(row[0]), float(row[1]), float(row[2])]
+                          if np.isfinite(row).all() else None)
+        times = [fmt_ts(t) if np.isfinite(t) else None for t in p.joint_times]
+        targets.append({"id": p.id, "joints": joints, "joint_times": times})
+    return {"timestamp": fmt_ts(step.timestamp), "targets": targets}
+
+
+def parse_frame_line(line: str, path: str, lineno: int,
+                     n_joints: int | None = None) -> FrameBatch:
+    """Per-joint reference for io_cli.parse_frame_line: each detection gets
+    its own arrays, filled one joint at a time."""
+    obj = _loads(line, path, lineno)
+    cid = _camera_id(obj, path, lineno)
+    t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
+    raw_dets = _field(obj, "detections", path, lineno)
+    if not isinstance(raw_dets, list):
+        raise ParseError(f"{path}:{lineno}: field 'detections' must be a list")
+    dets: list[Detection] = []
+    for i, rd in enumerate(raw_dets):
+        if not isinstance(rd, dict) or "joints" not in rd:
+            raise ParseError(f"{path}:{lineno}: detection {i} must carry 'joints'")
+        joints = rd["joints"]
+        if not isinstance(joints, list) or not joints:
+            raise ParseError(f"{path}:{lineno}: detection {i}: 'joints' must be a "
+                             "non-empty list")
+        k = len(joints)
+        if n_joints is None:
+            n_joints = k
+        elif k != n_joints:
+            raise ParseError(f"{path}:{lineno}: detection {i}: field 'joints' has "
+                             f"{k} entries, expected {n_joints}")
+        xy = np.full((k, 2), np.nan)
+        conf = np.zeros(k)
+        for j, entry in enumerate(joints):
+            if entry is None:
+                continue
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
+                                 "expected [x, y, confidence] or null")
+            try:
+                x, y, c = (float(v) for v in entry)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
+                                 f"expected numbers, got {entry!r}") from None
+            if not math.isfinite(c):
+                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
+                                 f"confidence {entry[2]!r} is not finite")
+            if math.isfinite(x) and math.isfinite(y):
+                xy[j] = (x, y)
+                conf[j] = c
+        dets.append(Detection(cid, t, xy, conf, index=i))
+    return FrameBatch(cid, t, dets)

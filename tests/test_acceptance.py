@@ -30,6 +30,8 @@ from posefuse.reconstruction import triangulate
 from posefuse.simulator import (ScenarioSpec, baseline_alg_s1, generate,
                                 synchronized_groups)
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(n, ok, detail):
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'} ({detail})", flush=True)

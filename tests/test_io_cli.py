@@ -3,6 +3,7 @@ simulate -> track -> evaluate pipeline on a noiseless scene."""
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,13 +12,14 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 import posefuse
 from posefuse import io_cli
 from posefuse.affinity import TrackerConfig
 from posefuse.cli import main
 from posefuse.geometry import CameraView, RankDeficientP
 from posefuse.simulator import N_JOINTS, InvalidSpec, ScenarioSpec, generate
-from posefuse.tracker import CrossViewTracker, StepResult, TargetPose
+from posefuse.tracker import CrossViewTracker, FrameBatch, StepResult, TargetPose
 
 
 def scene(**kw):
@@ -120,6 +122,166 @@ def test_tracks_round_trip_is_byte_identical(tmp_path):
     rewrite_tracks(rows, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert any(r.targets for r in rows)
+
+
+# One StepResult and one detection line with their wire forms written out by
+# hand, so that a change of the format shows here whatever BLAS computes.
+GOLDEN_STEP = StepResult("cam01", 2.04, [
+    TargetPose(9, np.array([[0.1, -0.0, 1.5], [math.nan, 2.0, 3.0],
+                            [1e16, 5e-324, -2.5e-7]]),
+               np.array([2.04, math.nan, 1.999999999])),
+    TargetPose(4, np.array([[math.inf, 0.0, 1.0], [-1.25, 0.75, 1.0 / 3.0]]),
+               np.array([-0.0, 0.0])),
+], [], [])
+GOLDEN_TRACK_LINE = (
+    '{"targets":[{"id":4,"joint_times":["-0.000000000","0.000000000"],'
+    '"joints":[null,[-1.25,0.75,0.3333333333333333]]},'
+    '{"id":9,"joint_times":["2.040000000",null,"1.999999999"],'
+    '"joints":[[0.1,-0.0,1.5],null,[1e+16,5e-324,-2.5e-07]]}],'
+    '"timestamp":"2.040000000"}')
+GOLDEN_FRAME_LINE = (
+    '{"camera_id": "cam02", "timestamp": "0.040000000", "detections": ['
+    '{"joints": [[640.5, 360.25, 0.9], null, ["12", 1e400, 0.5]]}, '
+    '{"joints": [[1, true, "0.25"], [-0.0, 5e-324, 0], [NaN, 2.0, 1.0]]}]}')
+GOLDEN_JOINTS = [
+    np.array([[640.5, 360.25], [math.nan, math.nan], [math.nan, math.nan]]),
+    np.array([[1.0, 1.0], [-0.0, 5e-324], [math.nan, math.nan]]),
+]
+GOLDEN_CONFIDENCES = [np.array([0.9, 0.0, 0.0]), np.array([0.25, 0.0, 0.0])]
+GOLDEN_FRAME_RECORD = (
+    '{"camera_id":"cam02","detections":[{"joints":[[640.5,360.25,0.9],null,null]},'
+    '{"joints":[[1.0,1.0,0.25],[-0.0,5e-324,0.0],null]}],"timestamp":"0.040000000"}')
+
+
+def test_wire_format_matches_golden_literals():
+    assert io_cli.dumps(io_cli.track_record(GOLDEN_STEP)) == GOLDEN_TRACK_LINE
+    frame = io_cli.parse_frame_line(GOLDEN_FRAME_LINE, "golden.jsonl", 1)
+    assert (frame.camera_id, frame.timestamp) == ("cam02", 0.04)
+    assert [d.index for d in frame.detections] == [0, 1]
+    for d, xy, conf in zip(frame.detections, GOLDEN_JOINTS, GOLDEN_CONFIDENCES):
+        assert d.joints.tobytes() == xy.tobytes()
+        assert d.confidences.tobytes() == conf.tobytes()
+    assert io_cli.dumps(io_cli.frame_record(frame)) == GOLDEN_FRAME_RECORD
+
+
+def assert_track_record_matches_oracle(step):
+    assert io_cli.dumps(io_cli.track_record(step)) == \
+        io_cli.dumps(oracles.track_record(step))
+
+
+@pytest.mark.parametrize("rig", ["grid", "ring"])
+def test_track_record_matches_per_row_oracle_on_tracker_output(rig):
+    cams, frames, _ = scene(rig=rig, n_cameras=5, n_people=3, duration=2.0,
+                            noise_sigma=2.0, dropout=0.3, seed=11)
+    tracker = CrossViewTracker(cams)
+    steps = [tracker.step(fr) for fr in frames]
+    assert sum(len(s.poses) for s in steps) > 100
+    assert any(not np.isfinite(p.joints).all() for s in steps for p in s.poses)
+    for s in steps:
+        assert_track_record_matches_oracle(s)
+
+
+def test_track_record_matches_per_row_oracle_on_edge_cases():
+    nan, inf = math.nan, math.inf
+    rows = np.array([[1.0, nan, 2.0], [inf, 0.0, 1.0], [-inf, -inf, -inf],
+                     [-0.0, 0.0, -0.0], [5e-324, 2.2250738585072014e-308, -5e-324],
+                     [1e16, -1e16, 123456789.125], [0.1, 0.2, 0.3]])
+    times = np.array([0.0, -0.0, nan, 1e-10, -1e-10, 12.5, 12.5])
+    steps = [
+        StepResult("c", 0.0, [], [], []),
+        StepResult("c", -0.0, [TargetPose(5, rows, times),
+                               TargetPose(2, rows[::-1], times[::-1]),
+                               TargetPose(3, rows[:2], times[:1])], [], []),
+        StepResult("c", 12.5, [TargetPose(1, rows[:3], np.array([nan] * 3)),
+                               TargetPose(0, np.empty((0, 3)), np.empty(0))], [], []),
+        # same shapes as the step before, other times: nothing carries over
+        StepResult("c", 13.0, [TargetPose(1, rows[:3], np.array([0.5, -0.0, 7.0])),
+                               TargetPose(0, np.empty((0, 3)), np.empty(0))], [], []),
+    ]
+    for s in steps:
+        assert_track_record_matches_oracle(s)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, "nan", "-nan", "inf", "-Infinity", "1e400"]
+BAD_JOINTS = [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], "1,2,3", {"x": 1.0}, 7,
+              [1.0, "abc", 0.5], [1.0, None, 0.5], [[1.0], 2.0, 0.5],
+              [10 ** 400, 2.0, 0.5], [1.0, 2.0, math.nan], [1.0, 2.0, "-inf"]]
+
+
+def fuzz_number(rng, v):
+    """v as a float, an int, a numeric string (bare or padded) or a boolean."""
+    form = rng.integers(5)
+    if form == 0:
+        return v
+    if form == 1:
+        return int(v)
+    if form == 2:
+        return repr(v)
+    if form == 3:
+        return f" {v!r} "
+    return bool(int(v) % 2)
+
+
+def fuzz_joint(rng, bad_rate):
+    u = rng.random()
+    if u < bad_rate:
+        return BAD_JOINTS[rng.integers(len(BAD_JOINTS))]
+    if u < 0.2:
+        return None
+    entry = [fuzz_number(rng, v) for v in (rng.uniform(-50.0, 700.0),
+                                           rng.uniform(-50.0, 700.0),
+                                           rng.uniform(0.0, 1.0))]
+    if rng.random() < 0.15:
+        entry[rng.integers(2)] = NON_FINITE[rng.integers(len(NON_FINITE))]
+    return entry
+
+
+def fuzz_frame_line(rng):
+    """A detection line and its usual joint count; about one line in three
+    may carry a malformed joint, and a rare detection has one joint too many."""
+    bad_rate = 0.05 if rng.random() < 0.3 else 0.0
+    k = int(rng.integers(1, 5))
+    dets = []
+    for _ in range(rng.integers(0, 5)):
+        kk = k + 1 if rng.random() < 0.01 else k
+        dets.append({"joints": [fuzz_joint(rng, bad_rate) for _ in range(kk)]})
+    t = rng.uniform(0.0, 100.0)
+    return json.dumps({"camera_id": f"cam{rng.integers(3):02d}",
+                       "timestamp": "%.9f" % t if rng.random() < 0.5 else t,
+                       "detections": dets}), k
+
+
+def parse_outcome(parse, line, n_joints):
+    try:
+        return parse(line, "fuzz.jsonl", 7, n_joints)
+    except io_cli.ParseError as e:
+        return str(e)
+
+
+def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines():
+    rng = np.random.default_rng(5)
+    parsed = failed = 0
+    for _ in range(3000):
+        line, k = fuzz_frame_line(rng)
+        n_joints = None if rng.random() < 0.5 else k + int(rng.random() < 0.02)
+        got = parse_outcome(io_cli.parse_frame_line, line, n_joints)
+        want = parse_outcome(oracles.parse_frame_line, line, n_joints)
+        if isinstance(want, str):
+            failed += 1
+            assert got == want
+            continue
+        parsed += 1
+        assert isinstance(got, FrameBatch)
+        assert (got.camera_id, got.timestamp) == (want.camera_id, want.timestamp)
+        assert len(got.detections) == len(want.detections)
+        for d, w in zip(got.detections, want.detections):
+            assert (d.camera_id, d.timestamp, d.index) == (w.camera_id, w.timestamp,
+                                                          w.index)
+            assert d.joints.shape == w.joints.shape
+            assert d.confidences.shape == w.confidences.shape
+            assert d.joints.tobytes() == w.joints.tobytes()
+            assert d.confidences.tobytes() == w.confidences.tobytes()
+    assert parsed > 2000 and failed > 200
 
 
 def test_config_key_value_text():
@@ -372,6 +534,8 @@ VALID_EVALUATE_INPUTS = {
      ":1: person 0: expected a list of [X, Y, Z] rows"),
     ("truth", truth_line({"0": [[0.0, "a", 1.0]] * 3}),
      ":1: person 0: expected a list of [X, Y, Z] rows"),
+    ("truth", truth_line({"0": POSE[:3]}),
+     f":1: person 0: has 3 joints, expected {N_JOINTS}"),
     ("truth", json.dumps({"kind": "det", "camera_id": ["cam00"], "timestamp": "0.0",
                           "index": 0, "person": 0}),
      ":1: field 'camera_id' must be a string"),
@@ -381,20 +545,25 @@ VALID_EVALUATE_INPUTS = {
      ":1: target 0 joint 0: expected numbers"),
     ("tracks", track_line([dict(TARGET, joint_times=[None] * (N_JOINTS + 1))]),
      ":1: target 0: 'joint_times' must be a list with at most one entry per joint"),
+    ("tracks", track_line([dict(TARGET, joints=POSE[:3], joint_times=[None] * 3)]),
+     f":1: target 0: has 3 joints, expected {N_JOINTS}"),
     ("assignments", assignment_line(target=[0]),
      ":1: field 'target' must be an integer or null"),
     ("assignments", assignment_line(index="x"), ":1: field 'index': expected an integer"),
     ("assignments", assignment_line(camera_id=0), ":1: field 'camera_id' must be a string"),
-], ids=["person-id", "people-list", "pose-pairs", "pose-text", "truth-camera",
-        "targets-number", "target-number", "joint-text", "joint-times-long",
-        "assignment-target", "assignment-index", "assignment-camera"])
+], ids=["person-id", "people-list", "pose-pairs", "pose-text", "pose-joint-count",
+        "truth-camera", "targets-number", "target-number", "joint-text",
+        "joint-times-long", "target-joint-count", "assignment-target",
+        "assignment-index", "assignment-camera"])
 def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, content,
                                                     where):
     files = {}
     for kind, text in dict(VALID_EVALUATE_INPUTS, **{bad: content}).items():
         files[kind] = tmp_path / f"{kind}.jsonl"
         files[kind].write_text(text + "\n")
-    load = {"truth": io_cli.load_truth, "tracks": io_cli.load_tracks,
+    # evaluate loads truth and tracks with the skeleton's joint count
+    load = {"truth": lambda p: io_cli.load_truth(p, N_JOINTS),
+            "tracks": lambda p: io_cli.load_tracks(p, N_JOINTS),
             "assignments": io_cli.load_assignments}[bad]
     named = f"{bad}.jsonl" + where
     with pytest.raises(io_cli.ParseError, match=re.escape(named)):
