@@ -11,7 +11,7 @@ from .affinity import TrackerConfig
 from .evaluation import association_accuracy, framerate_sweep, mot_metrics, pcp, \
     project_step_roots
 from .geometry import CoincidentCenters, RankDeficientP
-from .simulator import N_JOINTS, InvalidSpec, generate
+from .simulator import InvalidSpec, generate
 from .tracker import ChronologyViolation, CrossViewTracker, UnknownCamera
 
 
@@ -83,9 +83,8 @@ def _mot_stats(s) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    # the metrics index the simulator's skeleton joints
-    truth = io_cli.load_truth(args.truth, N_JOINTS)
-    rows = io_cli.load_tracks(args.tracks, N_JOINTS)
+    truth = io_cli.load_truth(args.truth)
+    rows = io_cli.load_tracks(args.tracks)
     est = [(r.timestamp, r.targets) for r in rows]
     try:
         rep = pcp(est, truth)

@@ -18,8 +18,8 @@ from .affinity import TrackerConfig
 from .geometry import CameraView
 from .tracker import AssignmentRecord, CrossViewTracker, Detection, FrameBatch, \
     StepResult
-from .simulator import GroundTruth, ScenarioSpec, baseline_alg_s1, generate, \
-    synchronized_groups
+from .simulator import N_JOINTS, GroundTruth, ScenarioSpec, baseline_alg_s1, \
+    generate, synchronized_groups
 
 
 class ParseError(ValueError):
@@ -86,11 +86,11 @@ def _parse_points(raw, path: str, lineno: int, what: str) -> np.ndarray:
     raise ParseError(f"{path}:{lineno}: {what}: expected a list of [X, Y, Z] rows")
 
 
-def _check_joint_count(n: int, n_joints: int | None, path: str, lineno: int,
-                       what: str) -> None:
-    if n_joints is not None and n != n_joints:
+def _check_joint_count(n: int, path: str, lineno: int, what: str) -> None:
+    # evaluation indexes the simulator's skeleton joints
+    if n != N_JOINTS:
         raise ParseError(f"{path}:{lineno}: {what}: has {n} joints, "
-                         f"expected {n_joints}")
+                         f"expected {N_JOINTS}")
 
 
 # ---------------------------------------------------------------- calibration
@@ -243,19 +243,15 @@ def track_record(step: StepResult) -> dict:
     or None, each joint time a timestamp string or None.
 
     The poses' joints and joint times are checked for finiteness and turned
-    into Python values in one pass each; every distinct joint time is
-    formatted once."""
+    into Python values in one pass each."""
     poses = sorted(step.poses, key=lambda p: p.id)
     targets = []
     if poses:
         xyz = np.concatenate([p.joints for p in poses], dtype=float)
         jt = np.concatenate([p.joint_times for p in poses], dtype=float)
         joints = _finite_rows(xyz, np.isfinite(xyz).all(axis=1))
-        # keyed by bit pattern: 0.0 and -0.0 are equal but print differently
-        keys = jt.view(np.int64).tolist()
-        text = {k: fmt_ts(t) for k, t in dict(zip(keys, jt.tolist())).items()}
-        times = [text[k] if ok else None
-                 for k, ok in zip(keys, np.isfinite(jt).tolist())]
+        times = [fmt_ts(t) if ok else None
+                 for t, ok in zip(jt.tolist(), np.isfinite(jt).tolist())]
         a = b = 0
         for p in poses:
             n, m = len(p.joints), len(p.joint_times)
@@ -266,8 +262,8 @@ def track_record(step: StepResult) -> dict:
     return {"timestamp": fmt_ts(step.timestamp), "targets": targets}
 
 
-def load_tracks(path: str, n_joints: int | None = None) -> list[TrackRow]:
-    """Track rows; with n_joints, every target must list that many joints."""
+def load_tracks(path: str) -> list[TrackRow]:
+    """Track rows; every target must list the skeleton's N_JOINTS joints."""
     rows: list[TrackRow] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -289,8 +285,7 @@ def load_tracks(path: str, n_joints: int | None = None) -> list[TrackRow]:
                 joints = tg.get("joints")
                 if not isinstance(joints, list):
                     raise ParseError(f"{path}:{lineno}: target {tid}: bad 'joints'")
-                _check_joint_count(len(joints), n_joints, path, lineno,
-                                   f"target {tid}")
+                _check_joint_count(len(joints), path, lineno, f"target {tid}")
                 xyz = np.full((len(joints), 3), np.nan)
                 jt = np.full(len(joints), np.nan)
                 for j, entry in enumerate(joints):
@@ -336,8 +331,8 @@ def write_truth(truth: GroundTruth, path: str) -> None:
                                "person": pid}) + "\n")
 
 
-def load_truth(path: str, n_joints: int | None = None) -> GroundTruth:
-    """Ground truth; with n_joints, every pose must hold that many joints."""
+def load_truth(path: str) -> GroundTruth:
+    """Ground truth; every pose must hold the skeleton's N_JOINTS joints."""
     truth = GroundTruth(pose_frames=[], det_person={}, noise={})
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -355,8 +350,7 @@ def load_truth(path: str, n_joints: int | None = None) -> GroundTruth:
                           _parse_points(v, path, lineno, f"person {k}")
                           for k, v in raw_people.items()}
                 for pid, pose in people.items():
-                    _check_joint_count(len(pose), n_joints, path, lineno,
-                                       f"person {pid}")
+                    _check_joint_count(len(pose), path, lineno, f"person {pid}")
                 truth.pose_frames.append((cid, t, people))
             elif kind == "det":
                 key = (cid, t, _parse_int(_field(obj, "index", path, lineno), path,

