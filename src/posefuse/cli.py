@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -36,15 +37,20 @@ def cmd_track(args) -> int:
     except CoincidentCenters as e:
         raise io_cli.ParseError(f"{args.calib}: {e}") from None
     label = "<stdin>" if args.input == "-" else args.input
-    fin = _open_in(args.input)
-    fout = _open_out(args.output)
-    fassign = open(args.assignments, "w", encoding="utf-8") if args.assignments else None
 
     def emit_assignments(records):
         for r in records:
             fassign.write(io_cli.dumps(io_cli.assignment_record(r)) + "\n")
 
-    try:
+    with contextlib.ExitStack() as stack:
+        fin = _open_in(args.input)
+        stack.callback(_close, fin)
+        fout = _open_out(args.output)
+        stack.callback(_close, fout)
+        fassign = None
+        if args.assignments:
+            fassign = stack.enter_context(
+                open(args.assignments, "w", encoding="utf-8"))
         for lineno, line in enumerate(fin, 1):
             if not line.strip():
                 continue
@@ -56,11 +62,6 @@ def cmd_track(args) -> int:
         if fassign:
             emit_assignments(tracker.finish())
         fout.flush()
-    finally:
-        _close(fin)
-        _close(fout)
-        if fassign:
-            fassign.close()
     return 0
 
 

@@ -30,8 +30,13 @@ def fmt_ts(t: float) -> str:
     return "%.9f" % t
 
 
+# json.dumps builds a new encoder on every call with non-default arguments;
+# this one holds configuration only and is never mutated
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _loads(line: str, path: str, lineno: int) -> dict:

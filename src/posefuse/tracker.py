@@ -39,7 +39,11 @@ def _cofactor_table():
     return np.array(table).T  # (9, 16)
 
 
-_COFACTORS = _cofactor_table()
+# With a..i the minor's entries row by row, its determinant is
+# a (e i - f h) - b (d i - f g) + c (d h - e g): the rows of this table pick
+# the operands (a, b, c), (e, d, d), (i, i, h), (f, f, e) and (h, g, g).
+_COFACTORS = _cofactor_table()[[[0, 1, 2], [4, 3, 3], [8, 8, 7], [5, 5, 4],
+                                 [7, 6, 6]]]  # (5, 3, 16)
 
 
 def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,9 +66,9 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
     N = AtA.shape[0]
     with np.errstate(all="ignore"):
         B = AtA / np.einsum("nii->n", AtA)[:, None, None]
-        a, b, c, d, e, f, g, h, i = B.reshape(N, 16).T.take(_COFACTORS, axis=0)
-        adj = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-        adj = adj.T.reshape(N, 4, 4)
+        abc, L1, R1, L2, R2 = B.reshape(N, 16).T.take(_COFACTORS, axis=0)
+        t = abc * (L1 * R1 - L2 * R2)
+        adj = (t[0] - t[1] + t[2]).T.reshape(N, 4, 4)
         x = np.ones((N, 4, 1))
         x[:, :3, 0] = X_prev  # NaN rows stay NaN and fail the test below
         x = adj @ (adj @ (adj @ x))
@@ -268,6 +272,9 @@ class CrossViewTracker:
         self.pool: dict[str, list[Detection]] = {}
         self.K: int | None = None
         self._last_t: dict[str, float] = {}
+        # id -> camera indices of the detections that built it, for each
+        # target not yet matched since it was built
+        self._unconfirmed: dict[int, frozenset[int]] = {}
         self._next_id = 0
         self._dt_sum = 0.0
         self._dt_count = 0
@@ -346,6 +353,8 @@ class CrossViewTracker:
         records: list[AssignmentRecord] = []
         for d in self.pool.pop(cid, []):
             records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, None))
+        if self.pool:
+            records.extend(self._age_pool(t))
 
         dets = frame.detections
         accepted: list[tuple[int, int]] = []
@@ -371,16 +380,34 @@ class CrossViewTracker:
             for r, c in accepted:
                 records.append(AssignmentRecord(cid, dets[c].timestamp,
                                                 dets[c].index, self.targets[r].id))
-        self.pool[cid] = [dets[c] for c in unmatched]
+        missed: set[int] = set()
+        if self._unconfirmed:
+            for r, _ in accepted:
+                self._unconfirmed.pop(self.targets[r].id, None)
+            # a camera that built a target has looked again and not seen it
+            missed = {tid for tid, cams in self._unconfirmed.items() if ci in cams}
+        if unmatched:
+            self.pool[cid] = [dets[c] for c in unmatched]
 
         records.extend(self._initialize_targets())
-        retired = self._retire(t)
+        retired = self._retire(t, missed)
         poses = []
         if self.targets:
             J = self._joint[self._live]
             poses = [TargetPose(tg.id, J[i, :, :3], J[i, :, 3])
                      for i, tg in enumerate(self.targets)]
         return StepResult(cid, t, poses, records, retired)
+
+    def _age_pool(self, now: float) -> list[AssignmentRecord]:
+        """Drop the pool entries of cameras silent for over retire_after and
+        report them unmatched."""
+        records = []
+        for c in sorted(self.pool):
+            if now - self._last_t[c] > self.cfg.retire_after:
+                for d in self.pool.pop(c):
+                    records.append(AssignmentRecord(d.camera_id, d.timestamp,
+                                                    d.index, None))
+        return records
 
     def finish(self) -> list[AssignmentRecord]:
         """Flush pool leftovers as unmatched at end of stream."""
@@ -549,10 +576,10 @@ class CrossViewTracker:
                 records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, tgt.id))
                 consumed.add(i)
         if consumed:
-            kept: dict[str, list[Detection]] = {cid: [] for cid in self.pool}
+            kept: dict[str, list[Detection]] = {}
             for i, d in enumerate(items):
                 if i not in consumed:
-                    kept[d.camera_id].append(d)
+                    kept.setdefault(d.camera_id, []).append(d)
             self.pool = kept
         return records
 
@@ -577,21 +604,26 @@ class CrossViewTracker:
         tgt = Target(self, self._next_id, s, t_ref)
         self._next_id += 1
         self.targets.append(tgt)
+        self._unconfirmed[tgt.id] = frozenset(self._cam_idx[d.camera_id]
+                                              for d in members)
         self._rebuild_live()
         return tgt
 
-    def _retire(self, now: float) -> list[int]:
+    def _retire(self, now: float, missed: set[int]) -> list[int]:
+        """Retire the targets unmatched for over retire_after and the
+        unconfirmed targets in missed, returning their ids."""
         if not self.targets:
             return []
         lag = now - self._slot_last[self._live]
-        if not lag.max() > self.cfg.retire_after:
+        if not missed and not lag.max() > self.cfg.retire_after:
             return []
         gone = []
         kept = []
         for tg, stale in zip(self.targets, lag > self.cfg.retire_after):
-            if stale:
+            if stale or tg.id in missed:
                 gone.append(tg.id)
                 self._free.append(tg.slot)
+                self._unconfirmed.pop(tg.id, None)
             else:
                 kept.append(tg)
         self.targets = kept

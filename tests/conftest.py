@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from posefuse.geometry import CameraView
+from posefuse.tracker import Detection, FrameBatch
 
 
 def look_at_rotation(center, target, up=(0.0, 0.0, 1.0)):
@@ -50,3 +51,33 @@ def random_rig(rng, n_cams):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def add_shifted_ghosts(frames, image_size, rate, seed):
+    """Append a Poisson(rate) count of false-positive skeletons to each frame.
+
+    Each ghost is a real detection of the same frame shifted by a uniform
+    offset of up to half the image in each axis, keeping only the joints that
+    stay inside the image (ghosts with fewer than 3 are dropped). Ghosts take
+    the next free indices, so real detections keep theirs and the truth's
+    identity map stays valid for them.
+    """
+    rng = np.random.default_rng(seed)
+    W, H = image_size
+    half = np.array([W / 2.0, H / 2.0])
+    out = []
+    for f in frames:
+        dets = list(f.detections)
+        for _ in range(int(rng.poisson(rate)) if f.detections else 0):
+            src = f.detections[int(rng.integers(len(f.detections)))]
+            xy = src.joints + rng.uniform(-half, half)
+            with np.errstate(invalid="ignore"):
+                inside = np.isfinite(xy).all(axis=1) & (xy[:, 0] >= 0) \
+                    & (xy[:, 0] < W) & (xy[:, 1] >= 0) & (xy[:, 1] < H)
+            if inside.sum() >= 3:
+                dets.append(Detection(f.camera_id, f.timestamp,
+                                      np.where(inside[:, None], xy, np.nan),
+                                      np.where(inside, src.confidences, 0.0),
+                                      index=len(dets)))
+        out.append(FrameBatch(f.camera_id, f.timestamp, dets))
+    return out

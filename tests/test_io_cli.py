@@ -1,6 +1,7 @@
 """Wire-format round trips and CLI behavior, including the full
 simulate -> track -> evaluate pipeline on a noiseless scene."""
 
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +400,18 @@ def test_track_malformed_line_reports_location(tmp_path, capsys):
     assert main(["track", "--calib", str(calib), "--input", str(bad),
                  "--output", str(out)]) == 2
     assert ":3:" in capsys.readouterr().err
+
+
+def test_track_closes_its_files_when_one_cannot_be_opened(tmp_path, capsys):
+    calib, dets, _ = write_scene_files(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["track", "--calib", str(calib), "--input", str(dets),
+                     "--output", str(tmp_path / "out.jsonl"), "--assignments",
+                     str(tmp_path / "no" / "such" / "a.jsonl")]) == 2
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert "error" in capsys.readouterr().err
 
 
 def test_evaluate_framerate_sweep_writes_tsv(tmp_path):

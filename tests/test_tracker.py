@@ -4,15 +4,19 @@ Dual-route checks pin the vectorized hot paths to the scalar reference
 implementations they must agree with.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from posefuse.affinity import (ChronologyViolation, TrackerConfig, body_affinity,
                                estimate_velocity)
+from posefuse.evaluation import mot_metrics, pcp, project_step_roots
 from posefuse.reconstruction import UnknownCamera
 from posefuse.simulator import ScenarioSpec, generate
 from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, null_directions
 
+from conftest import add_shifted_ghosts
 from oracles import (JointObservationSet, build_coefficients, triangulate_group,
                      triangulate_joint, triangulate_joint_weighted)
 
@@ -216,6 +220,105 @@ def test_retires_after_person_leaves():
     assert len(retired_at) == 1
     period = 1.0 / spec.fps
     assert min(retired_at.values()) <= cut + tr.cfg.retire_after + 2 * period
+
+
+def test_unconfirmed_target_retires_at_a_creating_cameras_next_frame():
+    cams, frames, _ = static_scene(n_cameras=3)
+    a, b, c = frames[:3]
+    assert len({a.camera_id, b.camera_id, c.camera_id}) == 3
+    tr = CrossViewTracker(cams)
+    tr.step(a)
+    tr.step(b)  # a's and b's detections build the target
+    (tid,) = [tg.id for tg in tr.targets]
+    # a camera that did not build it has not seen the person either way
+    out = tr.step(FrameBatch(c.camera_id, c.timestamp, []))
+    assert out.retired == [] and [p.id for p in out.poses] == [tid]
+    # a camera that built it looks again and misses it
+    out = tr.step(FrameBatch(a.camera_id, c.timestamp + 0.01, []))
+    assert out.retired == [tid]
+    assert tr.targets == [] and out.poses == []
+
+
+def test_matched_target_retires_only_after_retire_after():
+    cams, frames, _ = static_scene(n_cameras=3)
+    tr = CrossViewTracker(cams)
+    tr.step(frames[0])
+    tr.step(frames[1])
+    out = tr.step(frames[2])  # the third camera confirms it
+    (tg,) = tr.targets
+    assert [r.target_id for r in out.assignments] == [tg.id]
+    last = tg.last_matched
+    ids = [c.id for c in cams]
+    retired_at = None
+    for j in range(1, 100):
+        t = last + 0.02 * j
+        out = tr.step(FrameBatch(ids[j % 3], t, []))
+        if out.retired:
+            retired_at = t
+            break
+        assert t - last <= tr.cfg.retire_after
+    assert out.retired == [tg.id] and tr.targets == []
+    assert retired_at - last > tr.cfg.retire_after
+
+
+def test_ghost_detections_leave_real_people_untouched():
+    spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=3.0, seed=2)
+    cams, frames, truth = generate(spec)
+    ghosted = add_shifted_ghosts(frames, spec.image_size, 0.5, seed=2)
+    assert sum(map(len, (f.detections for f in ghosted))) \
+        > sum(map(len, (f.detections for f in frames))) + 100
+
+    def run(stream):
+        tr = CrossViewTracker(cams)
+        rows, live, records = [], [], []
+        for f in stream:
+            out = tr.step(f)
+            rows.append((f.timestamp, {p.id: p.joints for p in out.poses}))
+            live.append(len(tr.targets))
+            records.extend(out.assignments)
+        return rows, live, records
+
+    clean_rows, _, _ = run(frames)
+    rows, live, records = run(ghosted)
+    assert max(live) <= spec.n_people + 2
+    assert pcp(rows, truth).overall.score == pcp(clean_rows, truth).overall.score
+    series = [(cid, t, r[1]) for r, (cid, t, _) in zip(rows, truth.pose_frames)]
+    assert mot_metrics(project_step_roots(series, cams, truth)).overall.ids == 0
+    by_person = {}
+    for r in records:
+        pid = truth.det_person.get((r.camera_id, r.timestamp, r.index))
+        if pid is not None and r.target_id is not None:
+            by_person.setdefault(pid, set()).add(r.target_id)
+    assert sorted(by_person) == [0, 1, 2]
+    assert all(len(tids) == 1 for tids in by_person.values())
+
+
+def test_silent_cameras_pool_entries_age_out():
+    spec = ScenarioSpec(n_people=2, n_cameras=4, duration=3.0, seed=5)
+    cams, frames, _ = generate(spec)
+    dead = cams[0].id
+    # the camera that stops also sees ghosts, which no other view can explain
+    # and so stay in the pool
+    frames = [f for f in frames if f.camera_id != dead or f.timestamp <= 1.0]
+    ghosted = iter(add_shifted_ghosts([f for f in frames if f.camera_id == dead],
+                                      spec.image_size, 2.0, seed=5))
+    frames = [next(ghosted) if f.camera_id == dead else f for f in frames]
+    tr = CrossViewTracker(cams)
+    reported = Counter()
+    aged = 0
+    for f in frames:
+        out = tr.step(f)
+        reported.update((r.camera_id, r.timestamp, r.index) for r in out.assignments)
+        aged += sum(r.camera_id == dead and r.target_id is None
+                    for r in out.assignments if f.camera_id != dead)
+        for ds in tr.pool.values():
+            assert all(f.timestamp - d.timestamp <= tr.cfg.retire_after for d in ds)
+    tail = tr.finish()
+    assert aged > 0 and all(r.camera_id != dead for r in tail)
+    reported.update((r.camera_id, r.timestamp, r.index) for r in tail)
+    assert set(reported.values()) == {1}
+    assert sorted(reported) == sorted((f.camera_id, f.timestamp, d.index)
+                                      for f in frames for d in f.detections)
 
 
 def test_affinity_matrix_matches_scalar_reference():
