@@ -1,7 +1,8 @@
-"""Geometric affinity between tracked 3D targets and 2D detections.
+"""Tracker settings and the epipolar affinity between pool detections.
 
 Scores are unitless. Positive means "likely the same person", zero means
-no evidence either way, -inf marks an impossible pair.
+no evidence either way, -inf marks an impossible pair. The target-to-
+detection affinity is CrossViewTracker._affinity_core.
 """
 
 from __future__ import annotations
@@ -10,23 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraView, DegenerateLine, back_project, epipolar_line, \
-    point_to_line_distance, point_to_ray_distance
-
 # tolerated cross-source clock jitter, seconds
 EPS_CLOCK = 1e-3
 
 
 class ChronologyViolation(ValueError):
     """Detection is older than prior state by more than the clock tolerance."""
-
-
-class NoState(ValueError):
-    """Joint has no 3D point yet."""
-
-
-class SameCamera(ValueError):
-    """Epipolar affinity is undefined within a single camera."""
 
 
 @dataclass(frozen=True)
@@ -78,115 +68,6 @@ class TrackerConfig:
             raise ValueError("alpha2d_epi must be positive")
 
 
-def affinity_2d(prev_xy, prev_t: float, det_xy, det_t: float,
-                cfg: TrackerConfig) -> float:
-    """Same-camera image-distance affinity between an old and a new point.
-
-    The pixel gap is compared to alpha2d * dt, so the tolerated motion grows
-    with elapsed time, and the whole term decays with exp(-lambda_a * dt).
-    A zero time gap with a nonzero pixel gap cannot be the same person and
-    returns -inf.
-    """
-    dt = det_t - prev_t
-    if dt < -EPS_CLOCK:
-        raise ChronologyViolation(f"detection at {det_t} predates state at {prev_t}")
-    dt = max(dt, 0.0)
-    d = float(np.hypot(det_xy[0] - prev_xy[0], det_xy[1] - prev_xy[1]))
-    if dt == 0.0:
-        return cfg.w2d if d == 0.0 else float("-inf")
-    return cfg.w2d * (1.0 - d / (cfg.alpha2d * dt)) * np.exp(-cfg.lambda_a * dt)
-
-
-def affinity_3d(joint, det_xy, det_t: float, cam: CameraView,
-                cfg: TrackerConfig) -> float:
-    """Ray-distance affinity between a predicted 3D joint and a detection.
-
-    The joint is advanced along its linear velocity to det_t, then compared
-    to the detection's back-projection ray. Gaps within the clock tolerance
-    count as simultaneous.
-    """
-    if joint.point is None:
-        raise NoState("joint has no 3D point")
-    dt = det_t - joint.point_time
-    dt = max(dt, 0.0)
-    X = np.asarray(joint.point, dtype=float)
-    if joint.velocity_valid:
-        X = X + np.asarray(joint.velocity, dtype=float) * dt
-    ray = back_project(cam, det_xy)
-    d = point_to_ray_distance(X, ray)
-    return cfg.w3d * (1.0 - d / cfg.alpha3d) * np.exp(-cfg.lambda_a * dt)
-
-
-def estimate_velocity(history, cfg: TrackerConfig) -> tuple[np.ndarray, bool]:
-    """Least-squares linear velocity from the trailing (t, point) samples.
-
-    Returns (velocity, valid). Invalid when fewer than 2 samples remain in
-    the window or the time span is under 1 ms; callers then use zero.
-    """
-    pts = list(history)[-cfg.velocity_window:]
-    if len(pts) < 2:
-        return np.zeros(3), False
-    t = np.array([p[0] for p in pts])
-    X = np.array([p[1] for p in pts], dtype=float)
-    if t.max() - t.min() < 1e-3:
-        return np.zeros(3), False
-    dt = t - t.mean()
-    denom = float(dt @ dt)
-    v = (dt @ (X - X.mean(axis=0))) / denom
-    return v, True
-
-
-def body_affinity(target, det, cam: CameraView, cfg: TrackerConfig) -> float:
-    """Whole-body affinity: per-joint 2D and 3D terms summed over the skeleton.
-
-    Joints below min_joint_confidence contribute nothing, as do joints with
-    no prior 2D observation in this camera (2D term) or no 3D state (3D term).
-    A brand-new target with no usable joints scores exactly 0.
-    """
-    total = 0.0
-    joints = det.joints
-    confs = det.confidences
-    for k in range(len(joints)):
-        if confs[k] < cfg.min_joint_confidence or not np.isfinite(joints[k]).all():
-            continue
-        js = target.joint_state(k)
-        prev = js.observations.get(det.camera_id)
-        if prev is not None:
-            total += affinity_2d(prev[0], prev[2], joints[k], det.timestamp, cfg)
-        if js.point is not None:
-            total += affinity_3d(js, joints[k], det.timestamp, cam, cfg)
-    return total
-
-
-def epipolar_affinity(d1, d2, F: np.ndarray, cfg: TrackerConfig) -> float:
-    """Symmetric detection-to-detection affinity from epipolar distances.
-
-    F maps d1's camera to epipolar lines in d2's camera. Joints visible in
-    both detections contribute 1 - (dist_1 + dist_2) / (2 * alpha2d_epi);
-    the result is the mean, or -inf with fewer than min_shared_joints shared
-    joints. A degenerate epipolar line contributes zero distance.
-    """
-    if d1.camera_id == d2.camera_id:
-        raise SameCamera(f"both detections are from camera {d1.camera_id!r}")
-    vis1 = (d1.confidences >= cfg.min_joint_confidence) & np.isfinite(d1.joints).all(axis=1)
-    vis2 = (d2.confidences >= cfg.min_joint_confidence) & np.isfinite(d2.joints).all(axis=1)
-    shared = np.flatnonzero(vis1 & vis2)
-    if len(shared) < cfg.min_shared_joints:
-        return float("-inf")
-    total = 0.0
-    for k in shared:
-        try:
-            dist2 = point_to_line_distance(d2.joints[k], epipolar_line(F, d1.joints[k]))
-        except DegenerateLine:
-            dist2 = 0.0
-        try:
-            dist1 = point_to_line_distance(d1.joints[k], epipolar_line(F.T, d2.joints[k]))
-        except DegenerateLine:
-            dist1 = 0.0
-        total += 1.0 - (dist1 + dist2) / (2.0 * cfg.alpha2d_epi)
-    return total / len(shared)
-
-
 def _epipolar_distances(src: np.ndarray, dst: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Distances |l . dst| to the epipolar lines l = src @ M scaled to a unit
     normal, 0 where a line has no direction. src and dst are (P, K, 3)
@@ -199,14 +80,19 @@ def _epipolar_distances(src: np.ndarray, dst: np.ndarray, M: np.ndarray) -> np.n
     return np.where(norm < 1e-12, 0.0, d)
 
 
-def epipolar_affinity_matrix(dets, camera_ids, fundamentals, cfg: TrackerConfig) -> np.ndarray:
+def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
+                             fundamentals, cfg: TrackerConfig) -> np.ndarray:
     """Pairwise epipolar affinities for a detection pool.
 
-    Same-camera pairs get -inf so the partition step can never merge them.
-    The matrix is symmetric with a zero diagonal. Every other entry is
-    epipolar_affinity of the pair, computed for all pairs at once.
+    xy (N, K, 2) and vis (N, K) are the pool's joints and usable-joint mask
+    from tracker.stack_detections. Same-camera pairs get -inf so the
+    partition step can never merge them. The matrix is symmetric with a
+    zero diagonal. Every other entry is the mean over the shared usable
+    joints of 1 - (dist_1 + dist_2) / (2 * alpha2d_epi), each dist being a
+    point's distance to the other's epipolar line (0 for a degenerate line),
+    or -inf with fewer than min_shared_joints shared joints.
     """
-    n = len(dets)
+    n = len(xy)
     a = np.zeros((n, n))
     if n < 2:
         return a
@@ -225,9 +111,6 @@ def epipolar_affinity_matrix(dets, camera_ids, fundamentals, cfg: TrackerConfig)
         for p in np.unique(pair).tolist():
             F_tab[p] = fundamentals[(cams[p // len(cams)], cams[p % len(cams)])]
         F = F_tab[pair]
-        xy = np.array([d.joints for d in dets], dtype=float)
-        conf = np.array([d.confidences for d in dets], dtype=float)
-        vis = (conf >= cfg.min_joint_confidence) & np.isfinite(xy).all(axis=2)
         xh = np.concatenate([xy, np.ones(xy.shape[:2] + (1,))], axis=2)
         # row-vector form: F x_i is x_i @ F', and F' x_j is x_j @ F
         d2 = _epipolar_distances(xh[i], xh[j], np.ascontiguousarray(F.transpose(0, 2, 1)))

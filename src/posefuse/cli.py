@@ -7,7 +7,7 @@ import contextlib
 import os
 import sys
 
-from . import io_cli
+from . import bench, io_cli
 from .affinity import TrackerConfig
 from .evaluation import association_accuracy, framerate_sweep, mot_metrics, pcp, \
     project_step_roots
@@ -141,6 +141,10 @@ def cmd_evaluate(args) -> int:
         except ValueError:
             raise io_cli.ParseError(
                 f"bad --framerate-sweep value {args.framerate_sweep!r}") from None
+        if any(n < 1 for n in n_values):
+            raise io_cli.ParseError(
+                f"bad --framerate-sweep value {args.framerate_sweep!r}: every "
+                "rate divisor must be at least 1")
         frames = io_cli.load_detections(args.input)
         cfg = io_cli.load_config(args.config) if args.config else None
         sweep = framerate_sweep(cams, frames, truth, n_values, cfg)
@@ -164,16 +168,16 @@ def cmd_evaluate(args) -> int:
 def cmd_bench(args) -> int:
     fout = _open_out(args.out)
     try:
-        fout.write(io_cli.BENCH_HEADER + "\n")
+        fout.write(bench.BENCH_HEADER + "\n")
         for nc in args.cameras:
             for npeople in args.people:
-                cams, frames, _ = io_cli.bench_scene(nc, npeople, args.duration,
-                                                     args.seed)
-                fout.write(io_cli.bench_csv_line(
-                    io_cli.bench_tracker(cams, frames, npeople)) + "\n")
+                cams, frames, _ = bench.bench_scene(nc, npeople, args.duration,
+                                                    args.seed)
+                fout.write(bench.bench_csv_line(
+                    bench.bench_tracker(cams, frames, npeople)) + "\n")
                 if args.baseline:
-                    fout.write(io_cli.bench_csv_line(
-                        io_cli.bench_baseline(cams, frames, npeople)) + "\n")
+                    fout.write(bench.bench_csv_line(
+                        bench.bench_baseline(cams, frames, npeople)) + "\n")
         fout.flush()
     finally:
         _close(fout)

@@ -1,4 +1,4 @@
-"""Calibrated-camera math: projection, back-projection rays, epipolar lines."""
+"""Calibrated-camera math: projection, epipolar lines, fundamental matrices."""
 
 from __future__ import annotations
 
@@ -27,12 +27,6 @@ def hom(p: np.ndarray) -> np.ndarray:
     """Append a unit coordinate: (..., d) -> (..., d+1)."""
     p = np.asarray(p, dtype=float)
     return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
-
-
-def dehom(p: np.ndarray) -> np.ndarray:
-    """Divide by the last coordinate and drop it."""
-    p = np.asarray(p, dtype=float)
-    return p[..., :-1] / p[..., -1:]
 
 
 @dataclass(frozen=True)
@@ -66,14 +60,6 @@ class CameraView:
         return cls(cam_id, P, P_plus, center, (int(image_size[0]), int(image_size[1])))
 
 
-@dataclass(frozen=True)
-class Ray3:
-    """Infinite 3D line anchored at origin with unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-
 def project(cam: CameraView, X) -> np.ndarray:
     """Project a world point to pixels.
 
@@ -98,26 +84,6 @@ def project_points(cam: CameraView, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = w[:, :2] / depth[:, None]
     return uv, depth
-
-
-def back_project(cam: CameraView, x) -> Ray3:
-    """Back-project a pixel to the 3D viewing ray through the camera center."""
-    q = cam.P_plus @ hom(np.asarray(x, dtype=float))
-    if abs(q[3]) > 1e-12:
-        d = q[:3] / q[3] - cam.center
-    else:
-        # pseudo-inverse hit a point at infinity; q already is the direction
-        d = q[:3]
-    n = np.linalg.norm(d)
-    if n < 1e-15:
-        raise DegenerateProjection(f"camera {cam.id!r}: pixel maps to the center")
-    return Ray3(cam.center.copy(), d / n)
-
-
-def point_to_ray_distance(X, ray: Ray3) -> float:
-    """Perpendicular distance from a point to the ray's infinite line."""
-    v = np.asarray(X, dtype=float) - ray.origin
-    return float(np.linalg.norm(np.cross(ray.direction, v)))
 
 
 def point_to_line_distance(x, line: np.ndarray) -> float:

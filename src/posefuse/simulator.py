@@ -123,9 +123,6 @@ class GroundTruth:
             return self.pose_frames[lo][2]
         raise KeyError(f"no ground-truth frame at t={t}")
 
-    def camera_frame_times(self, camera_id: str) -> list[float]:
-        return [t for cid, t, _ in self.pose_frames if cid == camera_id]
-
 
 class _PersonMotion:
     """Continuous root trajectory plus phase-locked sinusoidal limb swing."""

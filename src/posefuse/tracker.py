@@ -138,30 +138,17 @@ def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
     ids = [d.camera_id for d in dets]
     if len(set(ids)) < 2:
         return []
-    a = epipolar_affinity_matrix(dets, ids, ftable, cfg)
-    part = partition_cycle_consistent(a, cfg.max_exact_partition)
-    groups = [c for c in part.clusters() if len(c) >= cfg.min_views_init]
-    if not groups:
-        return []
     xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
+    a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
+    part = partition_cycle_consistent(a, cfg.max_exact_partition)
     found = []
-    for c in groups:
+    for c in part.clusters():
+        if len(c) < cfg.min_views_init:
+            continue
         X = triangulate(np.stack([cameras[ids[i]].P for i in c]), xy[c], vis[c])
         if not np.isnan(X[:, 0]).all():
             found.append((c, X))
     return found
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Read-only snapshot of one joint of one target."""
-
-    point: np.ndarray | None
-    point_time: float
-    velocity: np.ndarray
-    velocity_valid: bool
-    observations: dict[str, tuple[np.ndarray, float, float]]
-    history: list[tuple[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -194,13 +181,11 @@ class Target:
     Valid while the target is live; a retired target's slot may be reused.
     """
 
-    __slots__ = ("id", "slot", "created_at", "_tr")
+    __slots__ = ("id", "slot", "_tr")
 
-    def __init__(self, tr: "CrossViewTracker", target_id: int, slot: int,
-                 created_at: float):
+    def __init__(self, tr: "CrossViewTracker", target_id: int, slot: int):
         self.id = target_id
         self.slot = slot
-        self.created_at = created_at
         self._tr = tr
 
     @property
@@ -208,35 +193,8 @@ class Target:
         return self._tr._joint[self.slot, :, :3]
 
     @property
-    def joint_t(self) -> np.ndarray:
-        return self._tr._joint[self.slot, :, 3]
-
-    @property
-    def vel(self) -> np.ndarray:
-        return self._tr._joint[self.slot, :, 4:]
-
-    @property
-    def vel_valid(self) -> np.ndarray:
-        return self._tr._vel_ok[self.slot]
-
-    @property
     def last_matched(self) -> float:
         return float(self._tr._slot_last[self.slot])
-
-    def joint_state(self, k: int) -> JointState:
-        tr, s = self._tr, self.slot
-        j = tr._joint[s, k]
-        point = j[:3].copy() if np.isfinite(j[:3]).all() else None
-        obs = {}
-        for ci in np.flatnonzero(tr._obs_t[s, k] > -np.inf):
-            obs[tr._cam_ids[ci]] = (tr._obs_xy[s, k, ci].copy(),
-                                    float(tr._obs_conf[s, k, ci]),
-                                    float(tr._obs_t[s, k, ci]))
-        n = min(int(tr._hist_n[s, k]), tr._hist.shape[2])
-        hist = sorted(((float(tr._hist[s, k, i, 3]), tr._hist[s, k, i, :3].copy())
-                       for i in range(n)), key=lambda p: p[0])
-        return JointState(point, float(j[3]), j[4:].copy(), bool(tr._vel_ok[s, k]),
-                          obs, hist)
 
 
 class CrossViewTracker:
@@ -424,11 +382,6 @@ class CrossViewTracker:
 
     # ------------------------------------------------------------- internals
 
-    def _affinity_matrix(self, dets: list[Detection], ci: int, t: float) -> np.ndarray:
-        dxy, _, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
-        with np.errstate(all="ignore"):
-            return self._affinity_core(dxy, dvm, ci, t)
-
     def _affinity_core(self, dxy: np.ndarray, dvm: np.ndarray, ci: int,
                        t: float) -> np.ndarray:
         """Vectorized body affinities, live targets x detections.
@@ -601,7 +554,7 @@ class CrossViewTracker:
             self._obs_t[s, v, ci] = d.timestamp
             self._obs_conf[s, v, ci] = c[v]
         self._slot_last[s] = t_ref
-        tgt = Target(self, self._next_id, s, t_ref)
+        tgt = Target(self, self._next_id, s)
         self._next_id += 1
         self.targets.append(tgt)
         self._unconfirmed[tgt.id] = frozenset(self._cam_idx[d.camera_id]

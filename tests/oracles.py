@@ -1,7 +1,12 @@
-"""Independent brute-force oracles used by unit and acceptance tests.
+"""Independent brute-force and scalar oracles used by unit and acceptance tests.
 
-Nothing here imports from the package's solver paths; these are the slow,
-obviously-correct references the fast implementations are checked against.
+These are the slow, obviously-correct references that the package's
+vectorized paths are checked against: assignment and partition by
+enumeration, per-joint triangulation, the per-pair target and epipolar
+affinities, the per-joint velocity regression and a per-joint view of the
+tracker's state, and the per-row wire format. Nothing here imports from the
+package's solver paths; it takes only types, errors, constants and the
+small geometry helpers from it.
 """
 
 import math
@@ -10,7 +15,9 @@ from itertools import permutations
 
 import numpy as np
 
-from posefuse.geometry import CameraView, hom
+from posefuse.affinity import EPS_CLOCK, ChronologyViolation
+from posefuse.geometry import CameraView, DegenerateLine, DegenerateProjection, \
+    epipolar_line, hom, point_to_line_distance
 from posefuse.io_cli import ParseError, _camera_id, _field, _loads, _parse_ts, fmt_ts
 from posefuse.reconstruction import UnknownCamera
 from posefuse.tracker import Detection, FrameBatch
@@ -253,6 +260,185 @@ def triangulate_group(dets, cams: dict[str, CameraView],
         except (InsufficientViews, NearDegenerate):
             continue
     return pose
+
+
+# ------------------------------------------------- scalar affinity and state
+
+
+class NoState(ValueError):
+    """Joint has no 3D point yet."""
+
+
+class SameCamera(ValueError):
+    """Epipolar affinity is undefined within a single camera."""
+
+
+@dataclass(frozen=True)
+class Ray3:
+    """Infinite 3D line anchored at origin with unit direction."""
+
+    origin: np.ndarray
+    direction: np.ndarray
+
+
+def back_project(cam: CameraView, x) -> Ray3:
+    """Back-project a pixel to the 3D viewing ray through the camera center."""
+    q = cam.P_plus @ hom(np.asarray(x, dtype=float))
+    if abs(q[3]) > 1e-12:
+        d = q[:3] / q[3] - cam.center
+    else:
+        # pseudo-inverse hit a point at infinity; q already is the direction
+        d = q[:3]
+    n = np.linalg.norm(d)
+    if n < 1e-15:
+        raise DegenerateProjection(f"camera {cam.id!r}: pixel maps to the center")
+    return Ray3(cam.center.copy(), d / n)
+
+
+def point_to_ray_distance(X, ray: Ray3) -> float:
+    """Perpendicular distance from a point to the ray's infinite line."""
+    v = np.asarray(X, dtype=float) - ray.origin
+    return float(np.linalg.norm(np.cross(ray.direction, v)))
+
+
+@dataclass(frozen=True)
+class JointState:
+    """Read-only snapshot of one joint of one target."""
+
+    point: np.ndarray | None
+    point_time: float
+    velocity: np.ndarray
+    velocity_valid: bool
+    observations: dict[str, tuple[np.ndarray, float, float]]
+    history: list[tuple[float, np.ndarray]]
+
+
+def joint_state(tr, target, k: int) -> JointState:
+    """Joint k of a live target, read from the tracker's slot arrays: the
+    point (None while unsolved), its time and velocity, the newest
+    observation per camera as (pixel, confidence, time), and the solution
+    history in time order."""
+    s = target.slot
+    j = tr._joint[s, k]
+    point = j[:3].copy() if np.isfinite(j[:3]).all() else None
+    obs = {}
+    for ci in np.flatnonzero(tr._obs_t[s, k] > -np.inf):
+        obs[tr._cam_ids[ci]] = (tr._obs_xy[s, k, ci].copy(),
+                                float(tr._obs_conf[s, k, ci]),
+                                float(tr._obs_t[s, k, ci]))
+    n = min(int(tr._hist_n[s, k]), tr._hist.shape[2])
+    hist = sorted(((float(tr._hist[s, k, i, 3]), tr._hist[s, k, i, :3].copy())
+                   for i in range(n)), key=lambda p: p[0])
+    return JointState(point, float(j[3]), j[4:].copy(), bool(tr._vel_ok[s, k]),
+                      obs, hist)
+
+
+def affinity_2d(prev_xy, prev_t: float, det_xy, det_t: float, cfg) -> float:
+    """Same-camera image-distance affinity between an old and a new point.
+
+    The pixel gap is compared to alpha2d * dt, so the tolerated motion grows
+    with elapsed time, and the whole term decays with exp(-lambda_a * dt).
+    A zero time gap with a nonzero pixel gap cannot be the same person and
+    returns -inf.
+    """
+    dt = det_t - prev_t
+    if dt < -EPS_CLOCK:
+        raise ChronologyViolation(f"detection at {det_t} predates state at {prev_t}")
+    dt = max(dt, 0.0)
+    d = float(np.hypot(det_xy[0] - prev_xy[0], det_xy[1] - prev_xy[1]))
+    if dt == 0.0:
+        return cfg.w2d if d == 0.0 else float("-inf")
+    return cfg.w2d * (1.0 - d / (cfg.alpha2d * dt)) * np.exp(-cfg.lambda_a * dt)
+
+
+def affinity_3d(joint, det_xy, det_t: float, cam: CameraView, cfg) -> float:
+    """Ray-distance affinity between a predicted 3D joint and a detection.
+
+    The joint is advanced along its linear velocity to det_t, then compared
+    to the detection's back-projection ray. Gaps within the clock tolerance
+    count as simultaneous.
+    """
+    if joint.point is None:
+        raise NoState("joint has no 3D point")
+    dt = det_t - joint.point_time
+    dt = max(dt, 0.0)
+    X = np.asarray(joint.point, dtype=float)
+    if joint.velocity_valid:
+        X = X + np.asarray(joint.velocity, dtype=float) * dt
+    ray = back_project(cam, det_xy)
+    d = point_to_ray_distance(X, ray)
+    return cfg.w3d * (1.0 - d / cfg.alpha3d) * np.exp(-cfg.lambda_a * dt)
+
+
+def estimate_velocity(history, cfg) -> tuple[np.ndarray, bool]:
+    """Least-squares linear velocity from the trailing (t, point) samples.
+
+    Returns (velocity, valid). Invalid when fewer than 2 samples remain in
+    the window or the time span is under 1 ms; callers then use zero.
+    """
+    pts = list(history)[-cfg.velocity_window:]
+    if len(pts) < 2:
+        return np.zeros(3), False
+    t = np.array([p[0] for p in pts])
+    X = np.array([p[1] for p in pts], dtype=float)
+    if t.max() - t.min() < 1e-3:
+        return np.zeros(3), False
+    dt = t - t.mean()
+    denom = float(dt @ dt)
+    v = (dt @ (X - X.mean(axis=0))) / denom
+    return v, True
+
+
+def body_affinity(state, det, cam: CameraView, cfg) -> float:
+    """Whole-body affinity: per-joint 2D and 3D terms summed over the skeleton.
+
+    state(k) gives joint k's JointState (or an object with its fields).
+    Joints below min_joint_confidence contribute nothing, as do joints with
+    no prior 2D observation in this camera (2D term) or no 3D state (3D term).
+    A brand-new target with no usable joints scores exactly 0.
+    """
+    total = 0.0
+    joints = det.joints
+    confs = det.confidences
+    for k in range(len(joints)):
+        if confs[k] < cfg.min_joint_confidence or not np.isfinite(joints[k]).all():
+            continue
+        js = state(k)
+        prev = js.observations.get(det.camera_id)
+        if prev is not None:
+            total += affinity_2d(prev[0], prev[2], joints[k], det.timestamp, cfg)
+        if js.point is not None:
+            total += affinity_3d(js, joints[k], det.timestamp, cam, cfg)
+    return total
+
+
+def epipolar_affinity(d1, d2, F: np.ndarray, cfg) -> float:
+    """Symmetric detection-to-detection affinity from epipolar distances.
+
+    F maps d1's camera to epipolar lines in d2's camera. Joints visible in
+    both detections contribute 1 - (dist_1 + dist_2) / (2 * alpha2d_epi);
+    the result is the mean, or -inf with fewer than min_shared_joints shared
+    joints. A degenerate epipolar line contributes zero distance.
+    """
+    if d1.camera_id == d2.camera_id:
+        raise SameCamera(f"both detections are from camera {d1.camera_id!r}")
+    vis1 = (d1.confidences >= cfg.min_joint_confidence) & np.isfinite(d1.joints).all(axis=1)
+    vis2 = (d2.confidences >= cfg.min_joint_confidence) & np.isfinite(d2.joints).all(axis=1)
+    shared = np.flatnonzero(vis1 & vis2)
+    if len(shared) < cfg.min_shared_joints:
+        return float("-inf")
+    total = 0.0
+    for k in shared:
+        try:
+            dist2 = point_to_line_distance(d2.joints[k], epipolar_line(F, d1.joints[k]))
+        except DegenerateLine:
+            dist2 = 0.0
+        try:
+            dist1 = point_to_line_distance(d1.joints[k], epipolar_line(F.T, d2.joints[k]))
+        except DegenerateLine:
+            dist1 = 0.0
+        total += 1.0 - (dist1 + dist2) / (2.0 * cfg.alpha2d_epi)
+    return total / len(shared)
 
 
 # ------------------------------------------------------------------ wire format

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_rig
+from helpers import random_rig
 from oracles import (best_partition_total, brute_force_assignment_total,
                      partition_objective)
 from posefuse.affinity import TrackerConfig
@@ -25,7 +25,7 @@ from posefuse.evaluation import (association_accuracy, framerate_sweep,
 from posefuse.geometry import (build_fundamental_table, epipolar_line,
                                fundamental_from_projections,
                                point_to_line_distance, project)
-from posefuse.io_cli import bench_baseline, bench_scene, bench_tracker
+from posefuse.bench import bench_baseline, bench_scene, bench_tracker
 from posefuse.reconstruction import triangulate
 from posefuse.simulator import (ScenarioSpec, baseline_alg_s1, generate,
                                 synchronized_groups)

@@ -3,21 +3,13 @@
 import numpy as np
 import pytest
 
-from posefuse.affinity import (
-    ChronologyViolation,
-    NoState,
-    SameCamera,
-    TrackerConfig,
-    affinity_2d,
-    affinity_3d,
-    body_affinity,
-    epipolar_affinity,
-    epipolar_affinity_matrix,
-    estimate_velocity,
-)
+from posefuse.affinity import ChronologyViolation, TrackerConfig, epipolar_affinity_matrix
 from posefuse.geometry import CameraView, fundamental_from_projections, project
+from posefuse.tracker import stack_detections
 
-from conftest import make_camera
+from helpers import make_camera
+from oracles import (NoState, SameCamera, affinity_2d, affinity_3d, body_affinity,
+                     epipolar_affinity, estimate_velocity)
 
 CFG = TrackerConfig()
 
@@ -32,14 +24,6 @@ class FakeJoint:
         self.velocity = np.asarray(velocity, float)
         self.velocity_valid = velocity_valid
         self.observations = observations or {}
-
-
-class FakeTarget:
-    def __init__(self, joints):
-        self._joints = joints
-
-    def joint_state(self, k):
-        return self._joints[k]
 
 
 class FakeDet:
@@ -140,25 +124,23 @@ def test_estimate_velocity_noisy_bound():
 def test_body_affinity_sums_terms_and_defaults_to_zero():
     cam = CameraView.from_projection("c", IDENTITY_P, (640, 480))
     joints = [FakeJoint() for _ in range(3)]
-    target = FakeTarget(joints)
     det = FakeDet("c", 0.1, [[0.0, 0.0]] * 3)
     # no observations, no 3D state: exactly zero
-    assert body_affinity(target, det, cam, CFG) == 0.0
+    assert body_affinity(joints.__getitem__, det, cam, CFG) == 0.0
 
     joints[0] = FakeJoint(point=(0.075, 0.0, 2.0), point_time=-0.1,
                           observations={"c": (np.array([3.0, 0.0]), 1.0, 0.0)})
     want_2d = affinity_2d((3.0, 0.0), 0.0, (0.0, 0.0), 0.1, CFG)
     want_3d = affinity_3d(joints[0], (0.0, 0.0), 0.1, cam, CFG)
-    got = body_affinity(target, det, cam, CFG)
+    got = body_affinity(joints.__getitem__, det, cam, CFG)
     assert abs(got - (want_2d + want_3d)) < 1e-12
 
 
 def test_body_affinity_skips_low_confidence_joints():
     cam = CameraView.from_projection("c", IDENTITY_P, (640, 480))
     joints = [FakeJoint(point=(0.0, 0.0, 2.0), point_time=0.0)]
-    target = FakeTarget(joints)
     det = FakeDet("c", 0.1, [[0.0, 0.0]], confidences=[0.05])
-    assert body_affinity(target, det, cam, CFG) == 0.0
+    assert body_affinity(joints.__getitem__, det, cam, CFG) == 0.0
 
 
 def test_epipolar_affinity_perfect_correspondence():
@@ -201,7 +183,8 @@ def test_epipolar_affinity_matrix_matches_scalar():
         for cam in cams[:2] if p == 0 else cams[1:]:
             dets.append(FakeDet(cam.id, 0.0, [project(cam, x) for x in X]))
             ids.append(cam.id)
-    a = epipolar_affinity_matrix(dets, ids, table, CFG)
+    xy, _, vis = stack_detections(dets, CFG.min_joint_confidence)
+    a = epipolar_affinity_matrix(xy, vis, ids, table, CFG)
     assert np.array_equal(a, a.T)
     for i in range(len(dets)):
         assert a[i, i] == 0.0

@@ -9,18 +9,17 @@ from posefuse.geometry import (
     DegenerateLine,
     DegenerateProjection,
     RankDeficientP,
-    back_project,
     build_fundamental_table,
     epipolar_line,
     fundamental_from_projections,
     hom,
     point_to_line_distance,
-    point_to_ray_distance,
     project,
     project_points,
 )
 
-from conftest import make_camera, random_camera
+from helpers import make_camera, random_camera
+from oracles import Ray3, back_project, point_to_ray_distance
 
 
 IDENTITY_P = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -128,8 +127,6 @@ def test_round_trip_through_ray(rng):
 
 
 def test_point_to_ray_distance_against_golden_section(rng):
-    from posefuse.geometry import Ray3
-
     for _ in range(50):
         o = rng.uniform(-5, 5, size=3)
         d = rng.normal(size=3)

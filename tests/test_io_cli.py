@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 import posefuse
-from posefuse import io_cli
+from posefuse import bench, io_cli
 from posefuse.affinity import TrackerConfig
 from posefuse.cli import main
 from posefuse.geometry import CameraView, RankDeficientP
@@ -65,6 +65,33 @@ def test_short_projection_matrix_reports_line_and_field(tmp_path):
     p.write_text(json.dumps({"id": "c0", "P": [1, 2, 3], "image_size": [640, 480]}) + "\n")
     with pytest.raises(io_cli.ParseError, match=r"c\.jsonl:1.*'P'"):
         io_cli.load_calibration(str(p))
+
+
+def cli_env():
+    """The environment for running posefuse in a child interpreter."""
+    src = os.path.dirname(os.path.dirname(posefuse.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("p0, width", [("1e400", "640"), ("NaN", "640"),
+                                       ("1", "1e400")],
+                         ids=["P-inf", "P-nan", "size-inf"])
+def test_non_finite_calibration_is_a_parse_error(tmp_path, p0, width):
+    # a child process with a timeout: without the check, an infinite P makes
+    # the SVD in CameraView.from_projection loop forever
+    calib = tmp_path / "c.jsonl"
+    calib.write_text('{"id": "c0", "P": [%s, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0], '
+                     '"image_size": [%s, 480]}\n' % (p0, width))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    proc = subprocess.run([sys.executable, "-m", "posefuse.cli", "track", "--calib",
+                           str(calib), "--input", str(empty), "--output",
+                           str(tmp_path / "t.jsonl")], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: ParseError: {calib}:1: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_rank_deficient_projection_is_rejected(tmp_path):
@@ -308,6 +335,21 @@ def test_config_structured_object():
     ("confidence_weighting = maybe\n", "expected a boolean"),
     ("alpha2d\n", "expected key=value"),
     ('{"w2d": "fast"}', "not a number"),
+    ("velocity_window = inf\n", "not a finite number"),
+    ("velocity_window = nan\n", "not a finite number"),
+    ("max_exact_partition = 1e400\n", "not a finite number"),
+    ("alpha2d = nan\n", "not a finite number"),
+    ("w2d = nan\n", "not a finite number"),
+    ("lambda_a = nan\n", "not a finite number"),
+    ("retire_after = nan\n", "not a finite number"),
+    ("match_threshold = -inf\n", "not a finite number"),
+    ('{"velocity_window": 1e400}', "not a finite number"),
+    ('{"max_exact_partition": -1e400}', "not a finite number"),
+    ('{"retire_after": NaN}', "not a finite number"),
+    ('{"match_threshold": NaN}', "not a finite number"),
+    ('{"alpha2d": Infinity}', "not a finite number"),
+    pytest.param('{"velocity_window": 1%s}' % ("0" * 400), "not a number",
+                 id="json-integer-past-float-range"),
 ])
 def test_config_rejects_bad_input(text, pattern):
     with pytest.raises(io_cli.ParseError, match=pattern):
@@ -430,11 +472,27 @@ def test_evaluate_framerate_sweep_writes_tsv(tmp_path):
     assert len(tsv) == 3
 
 
+@pytest.mark.parametrize("divisors", ["0", "-3", "2,0"])
+def test_evaluate_framerate_sweep_rejects_divisors_below_1(tmp_path, capsys, divisors):
+    calib, dets, truth = write_scene_files(tmp_path, duration=0.4)
+    tracks = tmp_path / "tracks.jsonl"
+    assert main(["track", "--calib", str(calib), "--input", str(dets),
+                 "--output", str(tracks)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--truth", str(truth), "--tracks", str(tracks),
+                 "--report", str(report), "--framerate-sweep", divisors,
+                 "--calib", str(calib), "--input", str(dets)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert "at least 1" in err
+    assert not report.exists() and not (tmp_path / "report.json.tsv").exists()
+
+
 def test_bench_emits_csv_rows(tmp_path, capsys):
     assert main(["bench", "--cameras", "2,3", "--people", "1",
                  "--duration", "0.4", "--baseline"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == io_cli.BENCH_HEADER
+    assert out[0] == bench.BENCH_HEADER
     rows = [line.split(",") for line in out[1:]]
     assert len(rows) == 4
     assert [r[0] for r in rows] == ["tracker", "baseline"] * 2
@@ -588,11 +646,8 @@ def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, conte
 
 def test_cli_import_loads_no_scipy():
     # scipy.optimize alone cost most of `posefuse track` set-up; keep it out
-    src = os.path.dirname(os.path.dirname(posefuse.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, posefuse.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                         capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

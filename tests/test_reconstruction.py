@@ -9,7 +9,7 @@ import pytest
 from posefuse.geometry import CameraView, hom, project
 from posefuse.reconstruction import UnknownCamera, triangulate
 
-from conftest import make_camera, random_rig
+from helpers import make_camera, random_rig
 from oracles import (
     InsufficientViews,
     JointObservationSet,

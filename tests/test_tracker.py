@@ -9,15 +9,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from posefuse.affinity import (ChronologyViolation, TrackerConfig, body_affinity,
-                               estimate_velocity)
+from posefuse.affinity import ChronologyViolation, TrackerConfig
 from posefuse.evaluation import mot_metrics, pcp, project_step_roots
 from posefuse.reconstruction import UnknownCamera
 from posefuse.simulator import ScenarioSpec, generate
-from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, null_directions
+from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, null_directions, \
+    stack_detections
 
-from conftest import add_shifted_ghosts
-from oracles import (JointObservationSet, build_coefficients, triangulate_group,
+from helpers import add_shifted_ghosts
+from oracles import (JointObservationSet, body_affinity, build_coefficients,
+                     estimate_velocity, joint_state, triangulate_group,
                      triangulate_joint, triangulate_joint_weighted)
 
 
@@ -163,9 +164,9 @@ def test_low_confidence_joints_never_recorded():
     for f in doctored:
         tr.step(f)
     assert len(tr.targets) == 1
-    assert tr.targets[0].joint_state(0).observations == {}
+    assert joint_state(tr, tr.targets[0], 0).observations == {}
     assert np.isnan(tr.targets[0].joint_xyz[0]).all()
-    assert tr.targets[0].joint_state(1).observations != {}
+    assert joint_state(tr, tr.targets[0], 1).observations != {}
 
 
 def test_joint_count_change_rejected():
@@ -197,7 +198,7 @@ def test_solved_joints_have_two_cameras_of_support():
     for tg in tr.targets:
         for k in range(tr.K):
             if np.isfinite(tg.joint_xyz[k]).all():
-                assert len(tg.joint_state(k).observations) >= 2
+                assert len(joint_state(tr, tg, k).observations) >= 2
 
 
 def test_retires_after_person_leaves():
@@ -329,9 +330,12 @@ def test_affinity_matrix_matches_scalar_reference():
     checked = 0
     for i, f in enumerate(frames):
         if tr.targets and f.detections and i % 23 == 0:
-            vec = tr._affinity_matrix(f.detections, tr._cam_idx[f.camera_id],
-                                      f.timestamp)
-            ref = np.array([[body_affinity(tg, d, tr.cameras[f.camera_id], tr.cfg)
+            dxy, _, dvm = stack_detections(f.detections, tr.cfg.min_joint_confidence)
+            with np.errstate(all="ignore"):
+                vec = tr._affinity_core(dxy, dvm, tr._cam_idx[f.camera_id],
+                                        f.timestamp)
+            ref = np.array([[body_affinity(lambda k: joint_state(tr, tg, k), d,
+                                           tr.cameras[f.camera_id], tr.cfg)
                              for d in f.detections] for tg in tr.targets])
             assert np.allclose(vec, ref, atol=1e-9)
             checked += 1
@@ -339,17 +343,23 @@ def test_affinity_matrix_matches_scalar_reference():
     assert checked >= 5
 
 
-def test_update_matches_weighted_triangulation_reference():
+@pytest.mark.parametrize("confidence_weighting", [False, True])
+def test_update_matches_weighted_triangulation_reference(confidence_weighting):
     spec = ScenarioSpec(n_people=2, n_cameras=5, duration=1.5, seed=13,
                         noise_sigma=1.0)
     cams, frames, _ = generate(spec)
-    tr = CrossViewTracker(cams)
+    # a seeded per-detection scale makes the confidences differ across views
+    scale = np.random.default_rng(13)
+    tr = CrossViewTracker(cams, TrackerConfig(confidence_weighting=confidence_weighting))
     for f in frames:
-        tr.step(f)
+        tr.step(FrameBatch(f.camera_id, f.timestamp, [
+            Detection(d.camera_id, d.timestamp, d.joints,
+                      d.confidences * scale.uniform(0.2, 1.0), d.index)
+            for d in f.detections]))
     checked = 0
     for tg in tr.targets:
         for k in range(tr.K):
-            js = tg.joint_state(k)
+            js = joint_state(tr, tg, k)
             if js.point is None or len(js.observations) < 2:
                 continue
             t_ref = max(t for _, _, t in js.observations.values())
@@ -361,7 +371,8 @@ def test_update_matches_weighted_triangulation_reference():
                                       [fresh[c][0] for c in fresh],
                                       [fresh[c][2] for c in fresh],
                                       [fresh[c][1] for c in fresh])
-            ref = triangulate_joint_weighted(obs, tr.cameras, tr.cfg.lambda_t)
+            ref = triangulate_joint_weighted(obs, tr.cameras, tr.cfg.lambda_t,
+                                             use_confidence=confidence_weighting)
             assert np.allclose(js.point, ref.point, atol=1e-9)
             checked += 1
     assert checked >= 20
@@ -410,7 +421,7 @@ def test_velocity_matches_history_regression_reference():
     checked = 0
     for tg in tr.targets:
         for k in range(tr.K):
-            js = tg.joint_state(k)
+            js = joint_state(tr, tg, k)
             if not js.history:
                 continue
             v_ref, ok_ref = estimate_velocity(js.history, tr.cfg)
@@ -430,7 +441,7 @@ def test_unweighted_mode_matches_plain_reference():
     tg = tr.targets[0]
     checked = 0
     for k in range(tr.K):
-        js = tg.joint_state(k)
+        js = joint_state(tr, tg, k)
         if js.point is None:
             continue
         t_ref = max(t for _, _, t in js.observations.values())
