@@ -7,7 +7,8 @@ detection affinity is CrossViewTracker._affinity_core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class TrackerConfig:
     confidence_weighting: bool = False
 
     def __post_init__(self):
+        # NaN passes every range check below
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.w2d < 0 or self.w3d < 0:
             raise ValueError("w2d and w3d must be nonnegative")
         if self.alpha2d <= 0 or self.alpha3d <= 0:

@@ -115,18 +115,22 @@ def load_calibration(path: str) -> list[CameraView]:
             P = _field(obj, "P", path, lineno)
             if not isinstance(P, list) or len(P) != 12:
                 raise ParseError(f"{path}:{lineno}: field 'P' must hold 12 numbers")
-            size = _field(obj, "image_size", path, lineno)
-            if not isinstance(size, list) or len(size) != 2:
-                raise ParseError(f"{path}:{lineno}: field 'image_size' must be [w, h]")
+            if not all(type(v) in (int, float) for v in P):
+                raise ParseError(f"{path}:{lineno}: field 'P' must hold JSON numbers, "
+                                 f"got {P!r}")
             try:
                 P_arr = np.array(P, dtype=float)
-                w, h = int(size[0]), int(size[1])
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"{path}:{lineno}: non-numeric or non-finite 'P' "
-                                 "or 'image_size' values") from None
-            if not np.isfinite(P_arr).all():
+                finite = np.isfinite(P_arr).all()
+            except OverflowError:  # an integer past float range
+                finite = False
+            if not finite:
                 raise ParseError(f"{path}:{lineno}: field 'P' must hold finite numbers")
-            cams.append(CameraView.from_projection(cid, P_arr, (w, h)))
+            size = _field(obj, "image_size", path, lineno)
+            if not (isinstance(size, list) and len(size) == 2
+                    and all(type(v) is int and v > 0 for v in size)):
+                raise ParseError(f"{path}:{lineno}: field 'image_size' must be two "
+                                 f"positive integers [w, h], got {size!r}")
+            cams.append(CameraView.from_projection(cid, P_arr, tuple(size)))
     return cams
 
 

@@ -8,7 +8,9 @@ are unsynchronized by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +32,24 @@ ROOT_HEIGHT = 0.95
 
 class InvalidSpec(ValueError):
     """Scenario parameters are out of range or inconsistent."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A finite real number, not a bool; an int past float range is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_point(v) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_finite, v))
 
 
 @dataclass(frozen=True)
@@ -60,6 +80,37 @@ class ScenarioSpec:
     bone_lengths: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BONES))
 
     def __post_init__(self):
+        # types first: the range checks below compare, and NaN passes them
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not _is_int(v):
+                raise InvalidSpec(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "float" and not _is_finite(v):
+                raise InvalidSpec(f"{f.name} must be a finite number, got {v!r}")
+        for name in ("area", "walk_bounds"):
+            if not _is_point(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be two finite numbers, "
+                                  f"got {getattr(self, name)!r}")
+        if self.phase_offsets is not None and not (
+                isinstance(self.phase_offsets, (tuple, list))
+                and all(map(_is_finite, self.phase_offsets))):
+            raise InvalidSpec(f"phase_offsets must be finite numbers, "
+                              f"got {self.phase_offsets!r}")
+        size = self.image_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 2
+                and all(_is_int(v) and v > 0 for v in size)):
+            raise InvalidSpec(f"image_size must be two positive integers, got {size!r}")
+        if self.waypoints is not None and not (
+                isinstance(self.waypoints, (tuple, list))
+                and all(isinstance(path, (tuple, list)) and path
+                        and all(map(_is_point, path)) for path in self.waypoints)):
+            raise InvalidSpec("waypoints must be lists of [x, y] finite numbers")
+        b = self.bone_lengths
+        if not (isinstance(b, dict) and all(_is_finite(b.get(k)) for k in DEFAULT_BONES)):
+            raise InvalidSpec(f"bone_lengths must give a finite number for each "
+                              f"of {sorted(DEFAULT_BONES)}")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be nonnegative")
         if self.n_people < 0:
             raise InvalidSpec("n_people must be nonnegative")
         if self.duration <= 0:
@@ -91,11 +142,15 @@ class ScenarioSpec:
         if unknown:
             raise InvalidSpec(f"unknown scenario keys: {sorted(unknown)}")
         d = dict(d)
+        # anything but lists is left for __post_init__ to reject
         for key in ("area", "image_size", "walk_bounds", "phase_offsets"):
-            if key in d and d[key] is not None:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
-        if d.get("waypoints") is not None:
-            d["waypoints"] = tuple(tuple(tuple(p) for p in path) for path in d["waypoints"])
+        paths = d.get("waypoints")
+        if isinstance(paths, list) and all(isinstance(path, list) and
+                                           all(isinstance(p, list) for p in path)
+                                           for path in paths):
+            d["waypoints"] = tuple(tuple(tuple(p) for p in path) for path in paths)
         return cls(**d)
 
 

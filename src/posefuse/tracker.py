@@ -57,8 +57,10 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
     residual bound sin(angle to the true eigenvector) <= |Bx - rho x| /
     (l1 - rho) is below 1e-12, with rho = x'Bx >= l0 and the next eigenvalue
     l1 >= 4 det(B) / rho, which holds because l0 <= rho and
-    l2 l3 <= (tr(B) / 2)^2 = 1/4. Systems whose X_prev is not finite, and
-    systems that have not converged, are solved by eigh instead.
+    l2 l3 <= (tr(B) / 2)^2 = 1/4. Noisy views leave l0 / l1 near 1e-3, where
+    three steps end just short of the bound, so the systems with a finite
+    X_prev that fail it get two more steps and the same test. Systems whose
+    X_prev is not finite, and systems still unsettled, are solved by eigh.
 
     Returns the directions and a mask of the systems that inverse iteration
     settled.
@@ -72,17 +74,31 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
         x = np.ones((N, 4, 1))
         x[:, :3, 0] = X_prev  # NaN rows stay NaN and fail the test below
         x = adj @ (adj @ (adj @ x))
-        x /= np.sqrt(np.einsum("nij,nij->n", x, x))[:, None, None]
-        Bx = B @ x
-        rho = np.einsum("nij,nij->n", x, Bx)
-        r = Bx - rho[:, None, None] * x
-        gap = 4.0 * np.einsum("nj,nj->n", B[:, 0], adj[:, 0]) / rho - rho
-        conv = np.sqrt(np.einsum("nij,nij->n", r, r)) < _CONV_TOL * gap
+        gap = 4.0 * np.einsum("nj,nj->n", B[:, 0], adj[:, 0])
+        x, conv = _settled(B, x, gap)
+        if not conv.all():
+            more = np.flatnonzero(~conv & np.isfinite(X_prev).all(axis=1))
+            if more.size:
+                adj_m = adj[more]
+                x_m, conv[more] = _settled(B[more], adj_m @ (adj_m @ x[more]),
+                                           gap[more])
+                x[more] = x_m
     x = x[:, :, 0]
     if not conv.all():
         cold = np.flatnonzero(~conv)
         x[cold] = np.linalg.eigh(AtA[cold])[1][:, :, 0]
     return x, conv
+
+
+def _settled(B: np.ndarray, x: np.ndarray, gap: np.ndarray):
+    """x (N, 4, 1) scaled to unit length, and whether it passes the residual
+    test of null_directions; gap holds 4 det(B) per system, from which the
+    bound on l1 - rho follows."""
+    x = x / np.sqrt(np.einsum("nij,nij->n", x, x))[:, None, None]
+    Bx = B @ x
+    rho = np.einsum("nij,nij->n", x, Bx)
+    r = Bx - rho[:, None, None] * x
+    return x, np.sqrt(np.einsum("nij,nij->n", r, r)) < _CONV_TOL * (gap / rho - rho)
 
 
 @dataclass
@@ -120,8 +136,38 @@ def stack_detections(dets: list[Detection], min_confidence: float):
     return xy, conf, (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
 
 
+class PoolScores:
+    """The last epipolar matrix of a pool and the detections it scored.
+
+    The detections are held as references, so their ids stay unique while
+    they key the rows, and the memory is bounded by one pool.
+    """
+
+    __slots__ = ("_dets", "_row", "_matrix")
+
+    def __init__(self):
+        self.keep([], np.zeros((0, 0)))
+
+    def keep(self, dets: list[Detection], matrix: np.ndarray):
+        self._dets = dets
+        self._row = {id(d): i for i, d in enumerate(dets)}
+        self._matrix = matrix
+
+    def lookup(self, dets: list[Detection]) -> np.ndarray | None:
+        """The matrix of dets cut from the kept one, or None if it did not
+        score all of them. Each entry depends only on its pair, and a pool
+        lists its cameras in sorted order, so each pair keeps its
+        orientation and the cut equals a fresh matrix."""
+        row = self._row
+        idx = [row.get(id(d), -1) for d in dets]
+        if -1 in idx:
+            return None
+        return self._matrix[np.ix_(idx, idx)]
+
+
 def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
-                 ftable: dict, cfg: TrackerConfig) -> list[tuple[list[int], np.ndarray]]:
+                 ftable: dict, cfg: TrackerConfig,
+                 scores: PoolScores | None = None) -> list[tuple[list[int], np.ndarray]]:
     """Group detections from different cameras into people and triangulate
     each group: the association that builds new targets from the pool and
     that the per-frame baseline runs on every frame.
@@ -132,15 +178,30 @@ def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
     whose joint is usable. Returns (member indices, (K, 3) pose with NaN
     rows for unsolved joints) for each group with at least one solved
     joint, in partition order.
+
+    With scores given, the matrix is cut from the one kept there when that
+    scored every detection, and otherwise computed and kept. When every
+    pair scores below 0 the partition is all singletons, which
+    min_views_init >= 2 drops, so it is not run.
     """
     if len(dets) < cfg.min_views_init:
         return []
     ids = [d.camera_id for d in dets]
     if len(set(ids)) < 2:
         return []
-    xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
-    a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
+    a = scores.lookup(dets) if scores is not None else None
+    xy = None
+    if a is None:
+        xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
+        a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
+        if scores is not None:
+            scores.keep(dets, a)
+    n = len(dets)
+    if np.count_nonzero(a < 0) == n * (n - 1):  # the zero diagonal never counts
+        return []
     part = partition_cycle_consistent(a, cfg.max_exact_partition)
+    if xy is None:
+        xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
     found = []
     for c in part.clusters():
         if len(c) < cfg.min_views_init:
@@ -239,6 +300,7 @@ class CrossViewTracker:
         self._cap = 0
         self._free: list[int] = []
         self._live = np.empty(0, dtype=np.intp)
+        self._pool_scores = PoolScores()
         self._ring = np.arange(self.cfg.velocity_window)
 
     # --------------------------------------------------------------- storage
@@ -522,7 +584,8 @@ class CrossViewTracker:
             items.extend(self.pool[cid])
         records: list[AssignmentRecord] = []
         consumed: set[int] = set()
-        for cluster, X in cluster_pool(items, self.cameras, self._ftable, self.cfg):
+        for cluster, X in cluster_pool(items, self.cameras, self._ftable, self.cfg,
+                                       self._pool_scores):
             tgt = self._build_target([items[i] for i in cluster], X)
             for i in cluster:
                 d = items[i]

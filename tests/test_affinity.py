@@ -1,5 +1,7 @@
 """Affinity scoring tests with frozen hand-computed expectations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,16 @@ def test_config_validation_and_defaults():
                 dict(min_shared_joints=0)]:
         with pytest.raises(ValueError):
             TrackerConfig(**bad)
+
+
+@pytest.mark.parametrize("field", ["w2d", "alpha2d", "alpha3d", "lambda_t",
+                                   "match_threshold", "retire_after",
+                                   "min_joint_confidence", "alpha2d_epi",
+                                   "velocity_window"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TrackerConfig(**{field: value})
 
 
 def test_affinity_scale_invariance_of_sign():

@@ -94,6 +94,30 @@ def test_non_finite_calibration_is_a_parse_error(tmp_path, p0, width):
     assert proc.stderr.count("\n") == 1
 
 
+P_EYE = "1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0"
+
+
+@pytest.mark.parametrize("P, size, where", [
+    (P_EYE, "0, 480", "'image_size'"),
+    (P_EYE, "-5, 480", "'image_size'"),
+    (P_EYE, "640.7, 480", "'image_size'"),
+    (P_EYE, "true, 480", "'image_size'"),
+    (P_EYE, '"640", 480', "'image_size'"),
+    ('"1", 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0', "640, 480", "'P' must hold JSON numbers"),
+    ("true, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0", "640, 480", "'P' must hold JSON numbers"),
+    ("1" + "0" * 400 + ", 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0", "640, 480",
+     "'P' must hold finite numbers"),
+], ids=["size-zero", "size-negative", "size-fraction", "size-bool", "size-string",
+        "P-string", "P-bool", "P-huge-int"])
+def test_calibration_values_must_be_numbers_of_the_right_kind(tmp_path, P, size, where):
+    p = tmp_path / "c.jsonl"
+    good = '{"id": "c0", "P": [%s], "image_size": [640, 480]}\n' % P_EYE
+    p.write_text(good.replace('"c0"', '"c1"') + '{"id": "c0", "P": [%s], '
+                 '"image_size": [%s]}\n' % (P, size))
+    with pytest.raises(io_cli.ParseError, match=r"c\.jsonl:2: field " + where):
+        io_cli.load_calibration(str(p))
+
+
 def test_rank_deficient_projection_is_rejected(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text(json.dumps({"id": "c0", "P": [0.0] * 12,
@@ -367,6 +391,39 @@ def test_scenario_file_loads_and_validates(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(io_cli.ParseError):
         io_cli.load_scenario(str(p))
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"duration": NaN}', "duration must be a finite number"),
+    ('{"fps": NaN}', "fps must be a finite number"),
+    ('{"duration": Infinity}', "duration must be a finite number"),
+    ('{"noise_sigma": NaN}', "noise_sigma must be a finite number"),
+    ('{"dropout": -Infinity}', "dropout must be a finite number"),
+    ('{"duration": 1%s}' % ("0" * 400), "duration must be a finite number"),
+    ('{"n_people": 2.5}', "n_people must be an integer"),
+    ('{"n_people": 1e400}', "n_people must be an integer"),
+    ('{"n_people": true}', "n_people must be an integer"),
+    ('{"seed": 1.5}', "seed must be an integer"),
+    ('{"seed": -1}', "seed must be nonnegative"),
+    ('{"n_cameras": "3"}', "n_cameras must be an integer"),
+    ('{"area": 5}', "area must be two finite numbers"),
+    ('{"walk_bounds": [1, NaN]}', "walk_bounds must be two finite numbers"),
+    ('{"image_size": [0, 720]}', "image_size must be two positive integers"),
+    ('{"image_size": [1280.5, 720]}', "image_size must be two positive integers"),
+    ('{"phase_offsets": [0, NaN, 0, 0]}', "phase_offsets must be finite numbers"),
+    ('{"n_people": 1, "waypoints": [[]]}', "waypoints must be lists"),
+    ('{"n_people": 1, "waypoints": [[1]]}', "waypoints must be lists"),
+    ('{"bone_lengths": {"head": 0.3}}', "bone_lengths must give a finite number"),
+])
+def test_simulate_rejects_bad_scenario_values(tmp_path, capsys, body, message):
+    spec = tmp_path / "s.json"
+    spec.write_text(body)
+    assert main(["simulate", "--spec", str(spec), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidSpec: " + message)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def write_scene_files(tmp_path, **kw):

@@ -9,12 +9,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from posefuse.affinity import ChronologyViolation, TrackerConfig
+from posefuse import tracker as tracker_mod
+from posefuse.affinity import ChronologyViolation, TrackerConfig, epipolar_affinity_matrix
+from posefuse.assignment import partition_cycle_consistent
 from posefuse.evaluation import mot_metrics, pcp, project_step_roots
-from posefuse.reconstruction import UnknownCamera
+from posefuse.reconstruction import UnknownCamera, triangulate
 from posefuse.simulator import ScenarioSpec, generate
-from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, null_directions, \
-    stack_detections
+from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, PoolScores, \
+    cluster_pool, null_directions, stack_detections
 
 from helpers import add_shifted_ghosts
 from oracles import (JointObservationSet, body_affinity, build_coefficients,
@@ -322,6 +324,114 @@ def test_silent_cameras_pool_entries_age_out():
                                       for f in frames for d in f.detections)
 
 
+def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
+    spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=2,
+                        noise_sigma=1.0)
+    cams, frames, _ = generate(spec)
+    tr = CrossViewTracker(cams)
+    counts = Counter()
+    fresh = []
+    lookup = PoolScores.lookup
+
+    def checked_lookup(self, dets):
+        cut = lookup(self, dets)
+        xy, _, vis = stack_detections(dets, tr.cfg.min_joint_confidence)
+        fresh.append(epipolar_affinity_matrix(xy, vis, [d.camera_id for d in dets],
+                                              tr._ftable, tr.cfg))
+        counts["-inf"] += bool(np.isneginf(fresh[-1]).any())
+        if cut is None:
+            counts["recompute"] += 1
+        else:
+            assert (cut == fresh[-1]).all()
+            counts["reuse"] += 1
+        return cut
+
+    def checked_partition(a, max_exact):
+        assert (a == fresh[-1]).all()
+        counts["partition"] += 1
+        return partition_cycle_consistent(a, max_exact)
+
+    monkeypatch.setattr(PoolScores, "lookup", checked_lookup)
+    monkeypatch.setattr(tracker_mod, "partition_cycle_consistent", checked_partition)
+    for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=2):
+        tr.step(f)
+    assert counts["reuse"] >= 1 and counts["recompute"] >= 1
+    assert counts["partition"] >= 1 and counts["-inf"] >= 1
+
+
+def pool_of(frames, n_cameras):
+    """The first non-empty frame's detections of each of n_cameras cameras,
+    in sorted camera order, as the tracker lists its pool."""
+    first = {}
+    for f in frames:
+        if f.detections and len(first) < n_cameras:
+            first.setdefault(f.camera_id, f.detections)
+    return [d for cid in sorted(first) for d in first[cid]]
+
+
+def full_partition(dets, cameras, a, cfg):
+    """cluster_pool's answer with the partition always run on matrix a."""
+    xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
+    found = []
+    for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters():
+        if len(c) >= cfg.min_views_init:
+            X = triangulate(np.stack([cameras[dets[i].camera_id].P for i in c]),
+                            xy[c], vis[c])
+            if not np.isnan(X[:, 0]).all():
+                found.append((c, X))
+    return found
+
+
+@pytest.mark.parametrize("min_views_init", [2, 3])
+def test_cluster_pool_equals_the_full_partition_on_random_pools(monkeypatch,
+                                                                 min_views_init):
+    cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=4, duration=0.2,
+                                            seed=43, noise_sigma=1.0))
+    dets = pool_of(frames, 4)
+    cameras = {c.id: c for c in cams}
+    cfg = TrackerConfig(min_views_init=min_views_init)
+    n = len(dets)
+    same = np.array([[a.camera_id == b.camera_id for b in dets] for a in dets])
+    rng = np.random.default_rng(43)
+    matrix = {}
+    monkeypatch.setattr(tracker_mod, "epipolar_affinity_matrix",
+                        lambda *args: matrix["a"])
+    partitions = Counter()
+    monkeypatch.setattr(tracker_mod, "partition_cycle_consistent",
+                        lambda a, m: partitions.update(["run"]) or
+                        partition_cycle_consistent(a, m))
+    skipped = zero_merged = 0
+    for trial in range(60):
+        # entries drawn from -inf, negatives, exact zeros and, in a third of
+        # the pools, positives
+        kinds = rng.choice(4, size=(n, n), p=[0.3, 0.5, 0.2, 0.0] if trial % 3
+                           else [0.2, 0.4, 0.1, 0.3])
+        vals = np.choose(kinds, [np.full((n, n), -np.inf), -rng.uniform(0.01, 2, (n, n)),
+                                 np.zeros((n, n)), rng.uniform(0.01, 2, (n, n))])
+        if trial % 4 == 0:
+            vals = np.where(vals == 0, -0.5, vals)  # some pools have no zero
+        a = np.triu(vals, 1)
+        a = a + a.T
+        a[same] = -np.inf
+        np.fill_diagonal(a, 0.0)
+        matrix["a"] = a
+        before = partitions["run"]
+        got = cluster_pool(dets, cameras, {}, cfg)
+        want = full_partition(dets, cameras, a, cfg)
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert all(np.array_equal(x, y, equal_nan=True)
+                   for (_, x), (_, y) in zip(got, want))
+        off = ~np.eye(n, dtype=bool)
+        if (a[off] < 0).all():
+            skipped += 1
+            assert partitions["run"] == before and got == []
+        else:
+            assert partitions["run"] == before + 1
+            if not (a[off] > 0).any() and want:
+                zero_merged += 1  # only zero gains, yet a group came back
+    assert skipped >= 5 and zero_merged >= 1
+
+
 def test_affinity_matrix_matches_scalar_reference():
     spec = ScenarioSpec(n_people=3, n_cameras=4, duration=2.0, seed=11,
                         noise_sigma=1.0, dropout=0.1)
@@ -410,6 +520,42 @@ def test_null_directions_paths_match_weighted_triangulation():
         x, conv = null_directions(AtA, start)
         assert (conv == settles).all()
         assert np.allclose(x[:, :3] / x[:, 3:], ref, atol=1e-9)
+
+
+def test_null_directions_settle_noisy_warm_systems_without_eigh():
+    # 2 px noise leaves l0 / l1 near 1e-3; each system is one joint's newest
+    # views after a camera frame, warm-started at that joint's previous answer
+    cams, frames, _ = generate(ScenarioSpec(n_people=1, n_cameras=6, duration=1.0,
+                                            seed=41, noise_sigma=2.0))
+    cam_map = {c.id: c for c in cams}
+    cfg = TrackerConfig()
+    latest, prev = {}, {}
+    systems, starts, refs = [], [], []
+    for f in frames:
+        if not f.detections:
+            continue
+        latest[f.camera_id] = f.detections[0]
+        for k in range(f.detections[0].joints.shape[0]):
+            use = [d for d in latest.values() if np.isfinite(d.joints[k]).all()
+                   and f.timestamp - d.timestamp <= cfg.retire_after]
+            if len(use) < 2:
+                continue
+            obs = JointObservationSet(tuple(d.camera_id for d in use),
+                                      [d.joints[k] for d in use],
+                                      [d.timestamp for d in use])
+            ref = triangulate_joint_weighted(obs, cam_map, cfg.lambda_t).point
+            if k in prev:
+                C = build_coefficients(obs, cam_map)
+                age = np.repeat(obs.reference_time - obs.times, 2)
+                Cw = C * (np.exp(-cfg.lambda_t * age) / np.linalg.norm(C, axis=1))[:, None]
+                systems.append(Cw.T @ Cw)
+                starts.append(prev[k])
+                refs.append(ref)
+            prev[k] = ref
+    assert len(refs) >= 1000
+    x, conv = null_directions(np.array(systems), np.array(starts))
+    assert conv.mean() >= 0.99
+    assert np.allclose(x[:, :3] / x[:, 3:], np.array(refs), atol=1e-9)
 
 
 def test_velocity_matches_history_regression_reference():
