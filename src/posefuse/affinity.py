@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .geometry import FundamentalTable
+
 # tolerated cross-source clock jitter, seconds
 EPS_CLOCK = 1e-3
 
@@ -77,21 +79,43 @@ class TrackerConfig:
 def _epipolar_distances(src: np.ndarray, dst: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Distances |l . dst| to the epipolar lines l = src @ M scaled to a unit
     normal, 0 where a line has no direction. src and dst are (P, K, 3)
-    homogeneous pixels, M is (P, 3, 3)."""
+    homogeneous pixels, M is (P, 3, 3). NaN and inf stand for missing
+    joints and far-off pixels, so callers run this under
+    np.errstate(all="ignore")."""
     line = src @ M
     norm = np.hypot(line[..., 0], line[..., 1])
-    with np.errstate(all="ignore"):
-        line /= norm[..., None]
-        d = np.abs(line[..., 0] * dst[..., 0] + line[..., 1] * dst[..., 1] + line[..., 2])
+    line /= norm[..., None]
+    d = np.abs(line[..., 0] * dst[..., 0] + line[..., 1] * dst[..., 1] + line[..., 2])
     return np.where(norm < 1e-12, 0.0, d)
 
 
+# pair indices by pool size n: i and j of the upper triangle, then i ++ j
+# and j ++ i; kept for pools of up to _PAIRS_CACHED detections, while larger
+# pools, such as the per-frame baseline's, build theirs on each call
+_PAIRS_CACHED = 32
+_PAIRS: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _pairs(n: int) -> tuple[np.ndarray, ...]:
+    pairs = _PAIRS.get(n)
+    if pairs is None:
+        i, j = np.triu_indices(n, 1)
+        pairs = (i, j, np.concatenate([i, j]), np.concatenate([j, i]))
+        if n <= _PAIRS_CACHED:
+            for p in pairs:
+                p.flags.writeable = False
+            _PAIRS[n] = pairs
+    return pairs
+
+
 def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
-                             fundamentals, cfg: TrackerConfig) -> np.ndarray:
+                             fundamentals: FundamentalTable,
+                             cfg: TrackerConfig) -> np.ndarray:
     """Pairwise epipolar affinities for a detection pool.
 
     xy (N, K, 2) and vis (N, K) are the pool's joints and usable-joint mask
-    from tracker.stack_detections. Same-camera pairs get -inf so the
+    from tracker.stack_detections; fundamentals is the rig's table from
+    geometry.build_fundamental_table. Same-camera pairs get -inf so the
     partition step can never merge them. The matrix is symmetric with a
     zero diagonal. Every other entry is the mean over the shared usable
     joints of 1 - (dist_1 + dist_2) / (2 * alpha2d_epi), each dist being a
@@ -102,29 +126,25 @@ def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
     a = np.zeros((n, n))
     if n < 2:
         return a
-    cams = sorted(set(camera_ids))
-    index = {cid: c for c, cid in enumerate(cams)}
+    index, stacked = fundamentals.index, fundamentals.stacked
+    C = len(index)
     cam = np.array([index[cid] for cid in camera_ids])
-    i, j = np.triu_indices(n, 1)
-    cross = cam[i] != cam[j]
-    a[i[~cross], j[~cross]] = -np.inf
-    i, j = i[cross], j[cross]
-    if i.size:
-        # one lookup per ordered camera pair that occurs; F maps i's pixels
-        # to epipolar lines in j's image
-        pair = cam[i] * len(cams) + cam[j]
-        F_tab = np.zeros((len(cams) ** 2, 3, 3))
-        for p in np.unique(pair).tolist():
-            F_tab[p] = fundamentals[(cams[p // len(cams)], cams[p % len(cams)])]
-        F = F_tab[pair]
-        xh = np.concatenate([xy, np.ones(xy.shape[:2] + (1,))], axis=2)
-        # row-vector form: F x_i is x_i @ F', and F' x_j is x_j @ F
-        d2 = _epipolar_distances(xh[i], xh[j], np.ascontiguousarray(F.transpose(0, 2, 1)))
-        d1 = _epipolar_distances(xh[j], xh[i], F)
-        shared = vis[i] & vis[j]
-        n_shared = shared.sum(axis=1)
-        score = np.where(shared, 1.0 - (d1 + d2) / (2.0 * cfg.alpha2d_epi), 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            v = score.sum(axis=1) / n_shared
-        a[i, j] = np.where(n_shared < cfg.min_shared_joints, -np.inf, v)
+    i, j, ij, ji = _pairs(n)
+    ci, cj = cam[i], cam[j]
+    # F maps i's pixels to epipolar lines in j's image; in row-vector form
+    # the lines F x_i are x_i @ F' and the lines F' x_j are x_j @ F. Every
+    # pair is scored, a same-camera one against zero matrices, whose lines
+    # are degenerate; its entry becomes -inf below.
+    pair = ci * C + cj
+    xh = np.concatenate([xy, np.ones(xy.shape[:2] + (1,))], axis=2)
+    shared = vis[i] & vis[j]
+    n_shared = np.add.reduce(shared, axis=1)
+    m = i.size
+    with np.errstate(all="ignore"):
+        # both directions in one pass: the distances of the j points, then
+        # of the i points
+        d = _epipolar_distances(xh[ij], xh[ji], stacked[np.concatenate([pair, pair + C * C])])
+        score = np.where(shared, 1.0 - (d[m:] + d[:m]) / (2.0 * cfg.alpha2d_epi), 0.0)
+        v = np.add.reduce(score, axis=1) / n_shared
+    a[i, j] = np.where((ci == cj) | (n_shared < cfg.min_shared_joints), -np.inf, v)
     return a + a.T

@@ -139,8 +139,8 @@ class Partition:
 
     def clusters(self) -> list[list[int]]:
         out: dict[int, list[int]] = {}
-        for i, lab in enumerate(self.labels):
-            out.setdefault(int(lab), []).append(i)
+        for i, lab in enumerate(self.labels.tolist()):
+            out.setdefault(lab, []).append(i)
         return [out[k] for k in sorted(out)]
 
 
@@ -158,37 +158,54 @@ def partition_cycle_consistent(a: np.ndarray, max_exact: int = 12) -> Partition:
     n = a.shape[0]
     if n == 0:
         return Partition(np.zeros(0, dtype=int))
-    if n <= max_exact:
-        labels = _partition_exact(a)
-    else:
-        labels = _partition_greedy(a)
-    # no forbidden pair (i < j) shares a label
-    assert not ((a == -np.inf) & (labels[:, None] == labels)
-                & (np.arange(n)[:, None] < np.arange(n))).any()
-    return Partition(_canonical_labels(labels))
+    labels = _partition_exact(a) if n <= max_exact else _partition_greedy(a)
+    labels = _canonical_labels(labels)
+    # no forbidden pair shares a label
+    assert not any(a[i, j] == -math.inf for i, j in _co_clustered(labels))
+    return Partition(np.array(labels))
 
 
-def _canonical_labels(labels):
+def _canonical_labels(labels) -> list[int]:
+    """Labels renumbered 0, 1, ... in order of first appearance."""
     remap: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=int)
-    for i, lab in enumerate(labels):
-        out[i] = remap.setdefault(int(lab), len(remap))
-    return out
+    return [remap.setdefault(int(lab), len(remap)) for lab in labels]
 
 
-def _partition_exact(a: np.ndarray) -> np.ndarray:
+def _co_clustered(labels: list[int]):
+    """Every pair (i, j), i < j, of items that share a label."""
+    first: dict[int, list[int]] = {}
+    for j, lab in enumerate(labels):
+        mem = first.setdefault(lab, [])
+        for i in mem:
+            yield i, j
+        mem.append(j)
+
+
+def _partition_exact(a: np.ndarray) -> list[int]:
     n = a.shape[0]
-    forbidden = np.isneginf(a)
-    gain = np.where(np.isfinite(a), a, 0.0)
-    pos = np.where(gain > 0, gain, 0.0)
-    # suffix[i]: optimistic extra weight from pairs whose larger index is >= i
-    suffix = np.zeros(n + 1)
+    finite = np.where(np.isfinite(a), a, 0.0)
+    # the search reads Python floats and bools: the same IEEE sums as numpy
+    # scalars, without their per-access cost
+    gain = finite.tolist()
+    forbidden = (a == -math.inf).tolist()
+    # suffix[i]: optimistic extra weight from pairs whose larger index is >= i.
+    # A column with two or more positive entries is summed by numpy, whose
+    # summation order a Python sum need not share, and a bound one ulp off
+    # could pick another of two equal-objective partitions; a column with at
+    # most one positive entry sums to exactly that entry.
+    suffix = [0.0] * (n + 1)
+    pos = None
     for q in range(n - 1, -1, -1):
-        suffix[q] = suffix[q + 1] + pos[:q, q].sum()
+        col = [gain[i][q] for i in range(q) if gain[i][q] > 0]
+        if len(col) > 1:
+            if pos is None:
+                pos = np.where(finite > 0, finite, 0.0)
+            col = [float(np.add.reduce(pos[:q, q]))]
+        suffix[q] = suffix[q + 1] + sum(col)
 
-    best_obj = -np.inf
-    best = np.arange(n)
-    labels = np.zeros(n, dtype=int)
+    best_obj = -math.inf
+    best = list(range(n))
+    labels = [0] * n
     members: list[list[int]] = []
 
     def rec(i: int, obj: float):
@@ -197,22 +214,20 @@ def _partition_exact(a: np.ndarray) -> np.ndarray:
             return
         if i == n:
             best_obj = obj
-            best = labels[:n].copy()
+            best = labels.copy()
             return
+        gi, fi = gain[i], forbidden[i]
         for ci, mem in enumerate(members):
             add = 0.0
-            ok = True
             for j in mem:
-                if forbidden[i, j]:
-                    ok = False
+                if fi[j]:
                     break
-                add += gain[i, j]
-            if not ok:
-                continue
-            labels[i] = ci
-            mem.append(i)
-            rec(i + 1, obj + add)
-            mem.pop()
+                add += gi[j]
+            else:
+                labels[i] = ci
+                mem.append(i)
+                rec(i + 1, obj + add)
+                mem.pop()
         labels[i] = len(members)
         members.append([i])
         rec(i + 1, obj)
@@ -222,28 +237,27 @@ def _partition_exact(a: np.ndarray) -> np.ndarray:
     return best
 
 
-def _partition_greedy(a: np.ndarray) -> np.ndarray:
+def _partition_greedy(a: np.ndarray) -> list[int]:
     n = a.shape[0]
-    bad = np.isneginf(a)
-    cross = np.where(np.isfinite(a), a, 0.0).copy()
+    # pairs never to merge: forbidden ones, the lower triangle with the
+    # diagonal, and, once a cluster is folded away, its row and column
+    blocked = np.isneginf(a)
+    lower = np.tri(n, dtype=bool)
+    cross = np.where(np.isfinite(a), a, 0.0)
     np.fill_diagonal(cross, 0.0)
-    alive = np.ones(n, dtype=bool)
     owner = np.arange(n)
     while True:
-        cand = cross.copy()
-        cand[bad] = -np.inf
-        cand[~alive, :] = -np.inf
-        cand[:, ~alive] = -np.inf
-        cand[np.tril_indices(n)] = -np.inf
-        i, j = np.unravel_index(np.argmax(cand), cand.shape)
-        if not np.isfinite(cand[i, j]) or cand[i, j] <= 0.0:
+        cand = np.where(blocked | lower, -np.inf, cross)
+        i, j = divmod(int(np.argmax(cand)), n)
+        if not 0.0 < cand[i, j] < math.inf:  # also stops at NaN
             break
         # fold cluster j into cluster i
         cross[i, :] += cross[j, :]
         cross[:, i] += cross[:, j]
-        bad[i, :] |= bad[j, :]
-        bad[:, i] |= bad[:, j]
+        blocked[i, :] |= blocked[j, :]
+        blocked[:, i] |= blocked[:, j]
         cross[i, i] = 0.0
-        alive[j] = False
+        blocked[j, :] = True
+        blocked[:, j] = True
         owner[owner == j] = i
-    return owner
+    return owner.tolist()

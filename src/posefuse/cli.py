@@ -116,6 +116,11 @@ def cmd_evaluate(args) -> int:
     cams = io_cli.load_calibration(args.calib) if needs_calib else None
 
     if args.mot:
+        known = {c.id for c in cams}
+        for cid, _, _ in truth.pose_frames:
+            if cid not in known:
+                raise io_cli.ParseError(
+                    f"{args.calib}: no camera {cid!r}, which {args.truth} uses")
         if len(rows) != len(truth.pose_frames):
             raise io_cli.ParseError(
                 f"{args.tracks}: {len(rows)} track rows do not align with "

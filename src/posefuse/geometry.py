@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,31 @@ def fundamental_from_projections(cam1: CameraView, cam2: CameraView) -> np.ndarr
     return F / np.linalg.norm(F)
 
 
-def build_fundamental_table(cams: list[CameraView]) -> dict[tuple[str, str], np.ndarray]:
+class FundamentalTable(Mapping):
+    """Read-only mapping (from_id, to_id) -> fundamental matrix F that also
+    holds every matrix in one (2 C^2, 3, 3) array for batched lookups: with
+    a and b the positions in index of two of the C cameras, stacked[a * C + b]
+    is F' and stacked[C^2 + a * C + b] is F for the pair; the rows of a
+    camera with itself are zero."""
+
+    def __init__(self, pairs: dict[tuple[str, str], np.ndarray], ids: list[str]):
+        self._pairs = pairs
+        self.index = {cid: c for c, cid in enumerate(ids)}
+        zero = np.zeros((3, 3))
+        F = np.array([pairs[(a, b)] if a != b else zero for a in ids for b in ids])
+        self.stacked = np.concatenate([F.transpose(0, 2, 1), F])
+
+    def __getitem__(self, key: tuple[str, str]) -> np.ndarray:
+        return self._pairs[key]
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
+def build_fundamental_table(cams: list[CameraView]) -> FundamentalTable:
     """All pairwise fundamental matrices, keyed (from_id, to_id)."""
     table: dict[tuple[str, str], np.ndarray] = {}
     for i, a in enumerate(cams):
@@ -130,4 +155,4 @@ def build_fundamental_table(cams: list[CameraView]) -> dict[tuple[str, str], np.
             F = fundamental_from_projections(a, b)
             table[(a.id, b.id)] = F
             table[(b.id, a.id)] = F.T
-    return table
+    return FundamentalTable(table, [c.id for c in cams])

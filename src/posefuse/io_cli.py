@@ -98,7 +98,8 @@ def _check_joint_count(n: int, path: str, lineno: int, what: str) -> None:
 # ---------------------------------------------------------------- calibration
 
 def load_calibration(path: str) -> list[CameraView]:
-    """Read one camera per line: {id, P: 12 row-major numbers, image_size}."""
+    """Read one camera per line: {id, P: 12 row-major numbers, image_size}.
+    A file with no camera is a ParseError."""
     cams: list[CameraView] = []
     seen = set()
     with open(path, encoding="utf-8") as f:
@@ -131,6 +132,8 @@ def load_calibration(path: str) -> list[CameraView]:
                 raise ParseError(f"{path}:{lineno}: field 'image_size' must be two "
                                  f"positive integers [w, h], got {size!r}")
             cams.append(CameraView.from_projection(cid, P_arr, tuple(size)))
+    if not cams:
+        raise ParseError(f"{path}: no cameras")
     return cams
 
 

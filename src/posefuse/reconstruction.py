@@ -22,13 +22,18 @@ def triangulate(P: np.ndarray, xy: np.ndarray, vis: np.ndarray) -> np.ndarray:
     """
     n, K = vis.shape
     X = np.full((K, 3), np.nan)
-    ks = np.flatnonzero(vis.sum(axis=0) >= 2)
+    ks = (np.add.reduce(vis, axis=0) >= 2).nonzero()[0]
     if ks.size == 0:
         return X
     pts = xy[:, ks].transpose(1, 0, 2)  # (k, n, 2)
     rows = pts[..., None] * P[:, 2][:, None] - P[:, :2]  # (k, n, 2, 4)
-    C = np.where(vis[:, ks].T[:, :, None, None], rows, 0.0).reshape(ks.size, 2 * n, 4)
+    if n > 2:  # with two views, each joint solved is seen by both
+        rows = np.where(vis[:, ks].T[:, :, None, None], rows, 0.0)
+    C = rows.reshape(ks.size, 2 * n, 4)
     x = np.linalg.eigh(C.transpose(0, 2, 1) @ C)[1][:, :, 0]
     ok = np.abs(x[:, 3]) >= 1e-12
-    X[ks[ok]] = x[ok, :3] / x[ok, 3:]
+    if ok.all():
+        X[ks] = x[:, :3] / x[:, 3:]
+    else:
+        X[ks[ok]] = x[ok, :3] / x[ok, 3:]
     return X

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .affinity import TrackerConfig
-from .geometry import CameraView, build_fundamental_table, project_points
+from .geometry import CameraView, FundamentalTable, build_fundamental_table, \
+    project_points
 from .tracker import Detection, FrameBatch, cluster_pool
 
 JOINT_NAMES = ["head", "neck", "lsho", "rsho", "lelb", "relb", "lwri", "rwri",
@@ -372,7 +373,7 @@ def synchronized_groups(frames: list[FrameBatch]) -> list[list[FrameBatch]]:
 
 def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
                     cfg: TrackerConfig,
-                    ftable: dict | None = None):
+                    ftable: FundamentalTable | None = None):
     """Per-frame brute-force competitor: cluster_pool over all detections of
     one synchronized frame group, the association the tracker runs only on
     its unmatched pool. Stateless across frames.

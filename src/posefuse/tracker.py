@@ -15,7 +15,7 @@ import numpy as np
 from .affinity import EPS_CLOCK, ChronologyViolation, TrackerConfig, \
     epipolar_affinity_matrix
 from .assignment import filter_matches, hungarian_max, partition_cycle_consistent
-from .geometry import CameraView, build_fundamental_table
+from .geometry import CameraView, FundamentalTable, build_fundamental_table
 from .reconstruction import UnknownCamera, triangulate
 
 
@@ -137,21 +137,23 @@ def stack_detections(dets: list[Detection], min_confidence: float):
 
 
 class PoolScores:
-    """The last epipolar matrix of a pool and the detections it scored.
+    """The last epipolar matrix of a pool, the detections it scored and
+    their rows from stack_detections.
 
     The detections are held as references, so their ids stay unique while
     they key the rows, and the memory is bounded by one pool.
     """
 
-    __slots__ = ("_dets", "_row", "_matrix")
+    __slots__ = ("_dets", "_row", "_matrix", "_rows")
 
     def __init__(self):
-        self.keep([], np.zeros((0, 0)))
+        self.keep([], np.zeros((0, 0)), None)
 
-    def keep(self, dets: list[Detection], matrix: np.ndarray):
+    def keep(self, dets: list[Detection], matrix: np.ndarray, rows):
         self._dets = dets
         self._row = {id(d): i for i, d in enumerate(dets)}
         self._matrix = matrix
+        self._rows = rows
 
     def lookup(self, dets: list[Detection]) -> np.ndarray | None:
         """The matrix of dets cut from the kept one, or None if it did not
@@ -162,11 +164,17 @@ class PoolScores:
         idx = [row.get(id(d), -1) for d in dets]
         if -1 in idx:
             return None
-        return self._matrix[np.ix_(idx, idx)]
+        return self._matrix[idx][:, idx]
+
+    def rows(self, dets: list[Detection]):
+        """The kept (xy, conf, vis) rows of dets, all of which were scored."""
+        row = self._row
+        idx = [row[id(d)] for d in dets]
+        return tuple(r[idx] for r in self._rows)
 
 
 def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
-                 ftable: dict, cfg: TrackerConfig,
+                 ftable: FundamentalTable, cfg: TrackerConfig,
                  scores: PoolScores | None = None) -> list[tuple[list[int], np.ndarray]]:
     """Group detections from different cameras into people and triangulate
     each group: the association that builds new targets from the pool and
@@ -179,10 +187,11 @@ def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
     rows for unsolved joints) for each group with at least one solved
     joint, in partition order.
 
-    With scores given, the matrix is cut from the one kept there when that
-    scored every detection, and otherwise computed and kept. When every
-    pair scores below 0 the partition is all singletons, which
-    min_views_init >= 2 drops, so it is not run.
+    With scores given, the matrix and the stacked rows are cut from the ones
+    kept there when those cover every detection, and otherwise computed and
+    kept, so a pool is stacked once. When every pair scores below 0 the
+    partition is all singletons, which min_views_init >= 2 drops, so it is
+    not run.
     """
     if len(dets) < cfg.min_views_init:
         return []
@@ -190,18 +199,17 @@ def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
     if len(set(ids)) < 2:
         return []
     a = scores.lookup(dets) if scores is not None else None
-    xy = None
+    rows = None
     if a is None:
-        xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
-        a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
+        rows = stack_detections(dets, cfg.min_joint_confidence)
+        a = epipolar_affinity_matrix(rows[0], rows[2], ids, ftable, cfg)
         if scores is not None:
-            scores.keep(dets, a)
+            scores.keep(dets, a, rows)
     n = len(dets)
     if np.count_nonzero(a < 0) == n * (n - 1):  # the zero diagonal never counts
         return []
     part = partition_cycle_consistent(a, cfg.max_exact_partition)
-    if xy is None:
-        xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
+    xy, _, vis = scores.rows(dets) if rows is None else rows
     found = []
     for c in part.clusters():
         if len(c) < cfg.min_views_init:
@@ -482,12 +490,13 @@ class CrossViewTracker:
         A += np.where((t3 == t3)[:, None] & dvm, s3, 0.0)
         return A.sum(axis=2)
 
-    def _dlt_block(self, xy: np.ndarray, ci: int) -> np.ndarray:
+    def _dlt_block(self, xy: np.ndarray, ci) -> np.ndarray:
         """r1 r1' + r2 r2', flattened to (n, 16), for the DLT rows
         r1 = x * p3 - p1 and r2 = y * p3 - p2 of points (n, 2) seen by
-        camera ci; the rows are scaled to unit length in weighted mode."""
-        P = self._P[ci]
-        r = xy[:, :, None] * P[2] - P[:2]  # (n, 2, 4)
+        camera ci, one index for all points or an (n,) array of one per
+        point; the rows are scaled to unit length in weighted mode."""
+        P = self._P[ci]  # (3, 4) or (n, 3, 4)
+        r = xy[:, :, None] * P[..., 2:, :] - P[..., :2, :]  # (n, 2, 4)
         if self.weighted:
             r /= np.sqrt(np.einsum("nij,nij->ni", r, r))[:, :, None]
         return (np.ascontiguousarray(r.transpose(0, 2, 1)) @ r).reshape(-1, 16)
@@ -586,11 +595,11 @@ class CrossViewTracker:
         consumed: set[int] = set()
         for cluster, X in cluster_pool(items, self.cameras, self._ftable, self.cfg,
                                        self._pool_scores):
-            tgt = self._build_target([items[i] for i in cluster], X)
-            for i in cluster:
-                d = items[i]
+            members = [items[i] for i in cluster]
+            tgt = self._build_target(members, X)
+            for d in members:
                 records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, tgt.id))
-                consumed.add(i)
+            consumed.update(cluster)
         if consumed:
             kept: dict[str, list[Detection]] = {}
             for i, d in enumerate(items):
@@ -601,27 +610,31 @@ class CrossViewTracker:
 
     def _build_target(self, members: list[Detection], X: np.ndarray) -> Target:
         """A new target at the points X (K, 3), NaN where unsolved, holding
-        every usable joint of its member detections as observations."""
+        every usable joint of its member detections as observations. The
+        members' rows are the ones the pool kept when it was stacked."""
         t_ref = max(d.timestamp for d in members)
         s = self._alloc_slot()
-        ks = np.flatnonzero(~np.isnan(X[:, 0]))
+        ks = (X[:, 0] == X[:, 0]).nonzero()[0]  # the solved joints
         self._joint[s, ks, :3] = X[ks]
         self._joint[s, ks, 3] = t_ref
         self._hist[s, ks, 0] = self._joint[s, ks, :4]
         self._hist_n[s, ks] = 1
-        xy, conf, vis = stack_detections(members, self.cfg.min_joint_confidence)
-        for d, pts, c, v in zip(members, xy, conf, vis):
-            ci = self._cam_idx[d.camera_id]
-            self._obs_xy[s, v, ci] = pts[v]
-            self._obs_dlt[s, v, ci] = self._dlt_block(pts[v], ci)
-            self._obs_t[s, v, ci] = d.timestamp
-            self._obs_conf[s, v, ci] = c[v]
+        # one row per usable member joint; members come from distinct
+        # cameras, so no two rows write the same observation
+        xy, conf, vis = self._pool_scores.rows(members)
+        cams = [self._cam_idx[d.camera_id] for d in members]
+        m, k = vis.nonzero()
+        ci = np.array(cams)[m]
+        pts = xy[m, k]
+        self._obs_xy[s, k, ci] = pts
+        self._obs_dlt[s, k, ci] = self._dlt_block(pts, ci)
+        self._obs_t[s, k, ci] = np.array([d.timestamp for d in members])[m]
+        self._obs_conf[s, k, ci] = conf[m, k]
         self._slot_last[s] = t_ref
         tgt = Target(self, self._next_id, s)
         self._next_id += 1
         self.targets.append(tgt)
-        self._unconfirmed[tgt.id] = frozenset(self._cam_idx[d.camera_id]
-                                              for d in members)
+        self._unconfirmed[tgt.id] = frozenset(cams)
         self._rebuild_live()
         return tgt
 

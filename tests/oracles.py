@@ -4,7 +4,9 @@ These are the slow, obviously-correct references that the package's
 vectorized paths are checked against: assignment and partition by
 enumeration, per-joint triangulation, the per-pair target and epipolar
 affinities, the per-joint velocity regression and a per-joint view of the
-tracker's state, and the per-row wire format. Nothing here imports from the
+tracker's state, and the per-row wire format. Earlier, slower versions of
+the partition, the epipolar matrix and the DLT block pin the package's
+faster ones bit for bit. Nothing here imports from the
 package's solver paths; it takes only types, errors, constants and the
 small geometry helpers from it.
 """
@@ -96,6 +98,93 @@ def best_partition_total(a: np.ndarray) -> float:
         if obj > best:
             best = obj
     return best
+
+
+def partition_labels(a: np.ndarray, max_exact: int = 12) -> np.ndarray:
+    """Reference for partition_cycle_consistent's labels: the branch and
+    bound over numpy scalars and the greedy merge that rebuilds its masks on
+    every merge, as the package ran them before they moved to Python lists
+    and a mask built once. The package must return these labels exactly,
+    ties included."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    labels = _partition_exact(a) if n <= max_exact else _partition_greedy(a)
+    remap: dict[int, int] = {}
+    out = np.empty(n, dtype=int)
+    for i, lab in enumerate(labels):
+        out[i] = remap.setdefault(int(lab), len(remap))
+    return out
+
+
+def _partition_exact(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    forbidden = np.isneginf(a)
+    gain = np.where(np.isfinite(a), a, 0.0)
+    pos = np.where(gain > 0, gain, 0.0)
+    suffix = np.zeros(n + 1)
+    for q in range(n - 1, -1, -1):
+        suffix[q] = suffix[q + 1] + pos[:q, q].sum()
+
+    best_obj = -np.inf
+    best = np.arange(n)
+    labels = np.zeros(n, dtype=int)
+    members: list[list[int]] = []
+
+    def rec(i: int, obj: float):
+        nonlocal best_obj, best
+        if obj + suffix[i] <= best_obj:
+            return
+        if i == n:
+            best_obj = obj
+            best = labels[:n].copy()
+            return
+        for ci, mem in enumerate(members):
+            add = 0.0
+            ok = True
+            for j in mem:
+                if forbidden[i, j]:
+                    ok = False
+                    break
+                add += gain[i, j]
+            if not ok:
+                continue
+            labels[i] = ci
+            mem.append(i)
+            rec(i + 1, obj + add)
+            mem.pop()
+        labels[i] = len(members)
+        members.append([i])
+        rec(i + 1, obj)
+        members.pop()
+
+    rec(0, 0.0)
+    return best
+
+
+def _partition_greedy(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    bad = np.isneginf(a)
+    cross = np.where(np.isfinite(a), a, 0.0).copy()
+    np.fill_diagonal(cross, 0.0)
+    alive = np.ones(n, dtype=bool)
+    owner = np.arange(n)
+    while True:
+        cand = cross.copy()
+        cand[bad] = -np.inf
+        cand[~alive, :] = -np.inf
+        cand[:, ~alive] = -np.inf
+        cand[np.tril_indices(n)] = -np.inf
+        i, j = np.unravel_index(np.argmax(cand), cand.shape)
+        if not np.isfinite(cand[i, j]) or cand[i, j] <= 0.0:
+            break
+        cross[i, :] += cross[j, :]
+        cross[:, i] += cross[:, j]
+        bad[i, :] |= bad[j, :]
+        bad[:, i] |= bad[:, j]
+        cross[i, i] = 0.0
+        alive[j] = False
+        owner[owner == j] = i
+    return owner
 
 
 # ------------------------------------------------- scalar triangulation
@@ -439,6 +528,61 @@ def epipolar_affinity(d1, d2, F: np.ndarray, cfg) -> float:
             dist1 = 0.0
         total += 1.0 - (dist1 + dist2) / (2.0 * cfg.alpha2d_epi)
     return total / len(shared)
+
+
+def _epipolar_distances(src: np.ndarray, dst: np.ndarray, M: np.ndarray) -> np.ndarray:
+    line = src @ M
+    norm = np.hypot(line[..., 0], line[..., 1])
+    with np.errstate(all="ignore"):
+        line /= norm[..., None]
+        d = np.abs(line[..., 0] * dst[..., 0] + line[..., 1] * dst[..., 1] + line[..., 2])
+    return np.where(norm < 1e-12, 0.0, d)
+
+
+def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
+                             fundamentals, cfg) -> np.ndarray:
+    """Reference for the package's epipolar_affinity_matrix, entry for entry
+    under ==: the same arithmetic over the cross-camera pairs only, with
+    fresh pair indices on every call, one distance call per direction and
+    one table lookup per ordered camera pair that occurs. Far-off pixels can
+    raise numpy warnings here; callers that feed them suppress those."""
+    n = len(xy)
+    a = np.zeros((n, n))
+    if n < 2:
+        return a
+    cams = sorted(set(camera_ids))
+    index = {cid: c for c, cid in enumerate(cams)}
+    cam = np.array([index[cid] for cid in camera_ids])
+    i, j = np.triu_indices(n, 1)
+    cross = cam[i] != cam[j]
+    a[i[~cross], j[~cross]] = -np.inf
+    i, j = i[cross], j[cross]
+    if i.size:
+        pair = cam[i] * len(cams) + cam[j]
+        F_tab = np.zeros((len(cams) ** 2, 3, 3))
+        for p in np.unique(pair).tolist():
+            F_tab[p] = fundamentals[(cams[p // len(cams)], cams[p % len(cams)])]
+        F = F_tab[pair]
+        xh = np.concatenate([xy, np.ones(xy.shape[:2] + (1,))], axis=2)
+        d2 = _epipolar_distances(xh[i], xh[j], np.ascontiguousarray(F.transpose(0, 2, 1)))
+        d1 = _epipolar_distances(xh[j], xh[i], F)
+        shared = vis[i] & vis[j]
+        n_shared = shared.sum(axis=1)
+        score = np.where(shared, 1.0 - (d1 + d2) / (2.0 * cfg.alpha2d_epi), 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            v = score.sum(axis=1) / n_shared
+        a[i, j] = np.where(n_shared < cfg.min_shared_joints, -np.inf, v)
+    return a + a.T
+
+
+def dlt_block(P: np.ndarray, xy: np.ndarray, weighted: bool) -> np.ndarray:
+    """Reference for CrossViewTracker._dlt_block with one camera: the
+    flattened r1 r1' + r2 r2' of each point's DLT rows under projection P
+    (3, 4), each row scaled to unit length when weighted."""
+    r = xy[:, :, None] * P[2] - P[:2]
+    if weighted:
+        r /= np.sqrt(np.einsum("nij,nij->ni", r, r))[:, :, None]
+    return (np.ascontiguousarray(r.transpose(0, 2, 1)) @ r).reshape(-1, 16)
 
 
 # ------------------------------------------------------------------ wire format

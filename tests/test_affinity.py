@@ -1,15 +1,18 @@
 """Affinity scoring tests with frozen hand-computed expectations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from posefuse.affinity import ChronologyViolation, TrackerConfig, epipolar_affinity_matrix
-from posefuse.geometry import CameraView, fundamental_from_projections, project
+from posefuse.geometry import CameraView, build_fundamental_table, \
+    fundamental_from_projections, project
 from posefuse.tracker import stack_detections
 
-from helpers import make_camera
+import oracles
+from helpers import make_camera, random_rig
 from oracles import (NoState, SameCamera, affinity_2d, affinity_3d, body_affinity,
                      epipolar_affinity, estimate_velocity)
 
@@ -200,6 +203,55 @@ def test_epipolar_affinity_matrix_matches_scalar():
                     assert abs(a[i, j] - want) <= 1e-12
                 else:
                     assert a[i, j] == want
+
+
+def random_pool(rng, cams, n, K=6):
+    """n detections over the cameras, each camera holding at least one when
+    n allows, with joints from a few 3D points plus pixel noise; some joints
+    missing, some below the confidence floor, and an occasional pixel at
+    the epipole's scale or beyond."""
+    ids = [cams[c].id for c in rng.permutation(np.arange(n) % len(cams))]
+    people = rng.uniform(-0.5, 0.5, size=(3, K, 3)) + np.array([0.0, 0.0, 1.2])
+    by_id = {c.id: c for c in cams}
+    xy = np.empty((n, K, 2))
+    for d, cid in enumerate(ids):
+        xy[d] = [project(by_id[cid], x) for x in people[rng.integers(3)]]
+    xy += rng.normal(0.0, 4.0, xy.shape)
+    xy[rng.random((n, K)) < 0.1] = np.nan
+    xy[rng.random((n, K)) < 0.02] = 1e9
+    conf = np.where(rng.random((n, K)) < 0.1, 0.05, 0.9)
+    return xy, (conf >= CFG.min_joint_confidence) & np.isfinite(xy).all(axis=2), ids
+
+
+def test_epipolar_affinity_matrix_equals_the_reference_entry_for_entry():
+    rng = np.random.default_rng(5)
+    cams = random_rig(rng, 5)
+    table = build_fundamental_table(cams)
+    kinds = np.zeros(3, dtype=int)
+    # each pool size three times, so that the cached pair indices are reused,
+    # and one pool past the cache's size limit
+    for n in list(range(2, 14)) * 3 + [40]:
+        xy, vis, ids = random_pool(rng, cams[:3 + n % 3], n)
+        with np.errstate(all="ignore"):
+            want = oracles.epipolar_affinity_matrix(xy, vis, ids, table, CFG)
+        kinds += [np.isneginf(want).sum(), (want > 0).sum(), (want < -100).sum()]
+        assert (epipolar_affinity_matrix(xy, vis, ids, table, CFG) == want).all(), n
+    assert (kinds > 20).all()  # forbidden, likely and far-off pairs
+
+
+def test_epipolar_affinity_matrix_overflow_is_minus_inf_without_a_warning():
+    cams = [make_camera("a", (4.0, 0.0, 2.0)), make_camera("b", (0.0, 4.0, 2.0)),
+            make_camera("c", (-4.0, 0.0, 2.0))]
+    # the pixels are finite, but their two distances sum past the float range
+    xy = np.array([[[1.7e308, 1.7e308]] * 4, [[1.7e308, 1.0]] * 4,
+                   [[640.0, 360.0]] * 4])
+    vis = np.ones((3, 4), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = epipolar_affinity_matrix(xy, vis, ["a", "b", "c"],
+                                     build_fundamental_table(cams), CFG)
+    assert a[0, 1] == a[1, 0] == -np.inf
+    assert np.isfinite(a[2, :2]).all()
 
 
 def test_config_validation_and_defaults():

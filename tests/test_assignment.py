@@ -16,6 +16,7 @@ from oracles import (
     bell_number,
     best_partition_total,
     brute_force_assignment_total,
+    partition_labels,
     partition_objective,
 )
 
@@ -232,3 +233,47 @@ def test_partition_enumeration_counts():
     assert bell_number(8) == 4140
     assert sum(1 for _ in all_partitions(3)) == 5
     assert sum(1 for _ in all_partitions(8)) == 4140
+
+
+def tied_affinities(rng, n, n_cams):
+    """A symmetric matrix with a zero diagonal whose entries come from a few
+    values, so that equal-objective partitions are common: -inf for pairs
+    from one camera and for some others, exact zeros, and repeated negative
+    and positive values."""
+    cams = rng.integers(0, n_cams, size=n)
+    vals = rng.choice([-np.inf, -1.0, -0.25, 0.0, 0.25, 0.5, 1.0], size=(n, n),
+                      p=[0.1, 0.2, 0.15, 0.2, 0.15, 0.1, 0.1])
+    a = np.triu(vals, 1)
+    a = a + a.T
+    a[cams[:, None] == cams[None, :]] = -np.inf
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def test_exact_partition_returns_the_reference_labels_ties_included():
+    rng = np.random.default_rng(907)
+    ties = 0
+    for n in range(2, 13):
+        for trial in range(40 if n <= 9 else 8):
+            a = tied_affinities(rng, n, n_cams=max(2, n // 2 + trial % 3))
+            if trial % 5 == 0:  # some matrices with untied finite values
+                a = np.where(np.isfinite(a) & (a != 0), a + rng.normal(0, 0.1, a.shape), a)
+                a = np.triu(a, 1) + np.triu(a, 1).T
+            got = partition_cycle_consistent(a)
+            want = partition_labels(a)
+            assert got.labels.tolist() == want.tolist(), (n, trial)
+            ties += partition_objective(want, a) == partition_objective(
+                np.arange(n), a) and want.max() < n - 1
+    assert ties >= 10  # a merge that only ties with all singletons was kept
+
+
+def test_greedy_partition_returns_the_reference_labels():
+    rng = np.random.default_rng(908)
+    for n in range(13, 41):
+        for trial in range(3):
+            a = tied_affinities(rng, n, n_cams=n // 3 + trial)
+            if trial == 2:
+                a = np.where(np.isfinite(a), a + rng.normal(0, 0.1, a.shape), a)
+                a = np.triu(a, 1) + np.triu(a, 1).T
+            got = partition_cycle_consistent(a, max_exact=12)
+            assert got.labels.tolist() == partition_labels(a, 12).tolist(), (n, trial)

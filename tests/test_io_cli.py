@@ -545,6 +545,38 @@ def test_evaluate_framerate_sweep_rejects_divisors_below_1(tmp_path, capsys, div
     assert not report.exists() and not (tmp_path / "report.json.tsv").exists()
 
 
+@pytest.mark.parametrize("command, calib_lines, message", [
+    ("track", 0, ": no cameras"),
+    ("track", "blank", ": no cameras"),
+    ("mot", 0, ": no cameras"),
+    ("sweep", 0, ": no cameras"),
+    ("mot", 2, ": no camera 'cam02', which "),
+    ("mot", 1, ": no camera 'cam01', which "),
+], ids=["track-empty", "track-blank-lines", "mot-empty", "sweep-empty",
+        "mot-lacks-cam02", "mot-lacks-cam01"])
+def test_empty_or_incomplete_calibration_is_a_parse_error(tmp_path, capsys, command,
+                                                          calib_lines, message):
+    calib, dets, truth = write_scene_files(tmp_path, duration=0.4)
+    tracks = tmp_path / "tracks.jsonl"
+    assert main(["track", "--calib", str(calib), "--input", str(dets),
+                 "--output", str(tracks)]) == 0
+    bad = tmp_path / "bad_calib.jsonl"
+    kept = calib.read_text().splitlines(keepends=True)
+    bad.write_text("\n \n" if calib_lines == "blank" else "".join(kept[:calib_lines]))
+    if command == "track":
+        args = ["track", "--input", str(dets), "--output", str(tmp_path / "t.jsonl")]
+    else:
+        args = ["evaluate", "--truth", str(truth), "--tracks", str(tracks),
+                "--report", str(tmp_path / "report.json")]
+        args += ["--mot"] if command == "mot" else ["--framerate-sweep", "1",
+                                                    "--input", str(dets)]
+    assert main(args + ["--calib", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {bad}{message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_bench_emits_csv_rows(tmp_path, capsys):
     assert main(["bench", "--cameras", "2,3", "--people", "1",
                  "--duration", "0.4", "--baseline"]) == 0

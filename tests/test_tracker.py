@@ -18,6 +18,7 @@ from posefuse.simulator import ScenarioSpec, generate
 from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, PoolScores, \
     cluster_pool, null_directions, stack_detections
 
+import oracles
 from helpers import add_shifted_ghosts
 from oracles import (JointObservationSet, body_affinity, build_coefficients,
                      estimate_velocity, joint_state, triangulate_group,
@@ -357,6 +358,44 @@ def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
         tr.step(f)
     assert counts["reuse"] >= 1 and counts["recompute"] >= 1
     assert counts["partition"] >= 1 and counts["-inf"] >= 1
+
+
+@pytest.mark.parametrize("weighted, min_views_init", [(True, 2), (False, 2), (True, 3)])
+def test_built_targets_hold_what_a_per_member_write_gives(monkeypatch, weighted,
+                                                          min_views_init):
+    spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=4,
+                        noise_sigma=1.0, dropout=0.1)
+    cams, frames, _ = generate(spec)
+    tr = CrossViewTracker(cams, TrackerConfig(min_views_init=min_views_init),
+                          weighted=weighted)
+    build = CrossViewTracker._build_target
+    views = Counter()
+
+    def checked_build(self, members, *args):
+        before = self._obs_dlt.copy()
+        tgt = build(self, members, *args)
+        s = tgt.slot
+        K, C = self.K, len(self._cam_ids)
+        xy, t = np.zeros((K, C, 2)), np.full((K, C), -np.inf)
+        conf = np.zeros((K, C))
+        dlt = before[s].copy() if s < len(before) else np.zeros((K, C, 16))
+        for d in members:
+            ci = self._cam_idx[d.camera_id]
+            v = (d.confidences >= self.cfg.min_joint_confidence) \
+                & np.isfinite(d.joints).all(axis=1)
+            xy[v, ci] = d.joints[v]
+            dlt[v, ci] = oracles.dlt_block(self._P[ci], d.joints[v], weighted)
+            t[v, ci] = d.timestamp
+            conf[v, ci] = d.confidences[v]
+        assert (self._obs_xy[s] == xy).all() and (self._obs_t[s] == t).all()
+        assert (self._obs_conf[s] == conf).all() and (self._obs_dlt[s] == dlt).all()
+        views[len(members)] += 1
+        return tgt
+
+    monkeypatch.setattr(CrossViewTracker, "_build_target", checked_build)
+    for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=4):
+        tr.step(f)
+    assert sum(views.values()) >= 3 and min(views) == min_views_init
 
 
 def pool_of(frames, n_cameras):
