@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import TrackerConfig
+from .affinity import TrackerConfig, epipolar_affinity_matrix
 from .geometry import CameraView, FundamentalTable, build_fundamental_table, \
     project_points
-from .tracker import Detection, FrameBatch, cluster_pool
+from .tracker import Detection, FrameBatch, cluster_pool, stack_detections
 
 JOINT_NAMES = ["head", "neck", "lsho", "rsho", "lelb", "relb", "lwri", "rwri",
                "lhip", "rhip", "lknee", "rknee", "lank", "rank"]
@@ -376,7 +376,8 @@ def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
                     ftable: FundamentalTable | None = None):
     """Per-frame brute-force competitor: cluster_pool over all detections of
     one synchronized frame group, the association the tracker runs only on
-    its unmatched pool. Stateless across frames.
+    its unmatched pool. Stateless across frames: the group is stacked and
+    scored anew.
 
     Returns (timestamp, poses, memberships): poses is {cluster_idx: (K, 3)}
     with NaN rows for unplaced joints, memberships maps cluster_idx to the
@@ -386,7 +387,13 @@ def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
         ftable = build_fundamental_table(cams)
     dets = [d for f in group for d in f.detections]
     stamp = max(f.timestamp for f in group)
-    found = cluster_pool(dets, {c.id: c for c in cams}, ftable, cfg)
+    found = []
+    ids = [d.camera_id for d in dets]
+    if len(dets) >= cfg.min_views_init and len(set(ids)) > 1:
+        xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
+        a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
+        P = {c.id: c.P for c in cams}
+        found = cluster_pool(a, np.array([P[cid] for cid in ids]), xy, vis, cfg)
     poses = {i: X for i, (_, X) in enumerate(found)}
     members = {i: [dets[j] for j in c] for i, (c, _) in enumerate(found)}
     return stamp, poses, members

@@ -8,14 +8,16 @@ constant number of vectorized passes regardless of how many targets matched.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .affinity import EPS_CLOCK, ChronologyViolation, TrackerConfig, \
     epipolar_affinity_matrix
 from .assignment import filter_matches, hungarian_max, partition_cycle_consistent
-from .geometry import CameraView, FundamentalTable, build_fundamental_table
+from .geometry import CameraView, build_fundamental_table
 from .reconstruction import UnknownCamera, triangulate
 
 
@@ -136,85 +138,31 @@ def stack_detections(dets: list[Detection], min_confidence: float):
     return xy, conf, (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
 
 
-class PoolScores:
-    """The last epipolar matrix of a pool, the detections it scored and
-    their rows from stack_detections.
-
-    The detections are held as references, so their ids stay unique while
-    they key the rows, and the memory is bounded by one pool.
-    """
-
-    __slots__ = ("_dets", "_row", "_matrix", "_rows")
-
-    def __init__(self):
-        self.keep([], np.zeros((0, 0)), None)
-
-    def keep(self, dets: list[Detection], matrix: np.ndarray, rows):
-        self._dets = dets
-        self._row = {id(d): i for i, d in enumerate(dets)}
-        self._matrix = matrix
-        self._rows = rows
-
-    def lookup(self, dets: list[Detection]) -> np.ndarray | None:
-        """The matrix of dets cut from the kept one, or None if it did not
-        score all of them. Each entry depends only on its pair, and a pool
-        lists its cameras in sorted order, so each pair keeps its
-        orientation and the cut equals a fresh matrix."""
-        row = self._row
-        idx = [row.get(id(d), -1) for d in dets]
-        if -1 in idx:
-            return None
-        return self._matrix[idx][:, idx]
-
-    def rows(self, dets: list[Detection]):
-        """The kept (xy, conf, vis) rows of dets, all of which were scored."""
-        row = self._row
-        idx = [row[id(d)] for d in dets]
-        return tuple(r[idx] for r in self._rows)
-
-
-def cluster_pool(dets: list[Detection], cameras: dict[str, CameraView],
-                 ftable: FundamentalTable, cfg: TrackerConfig,
-                 scores: PoolScores | None = None) -> list[tuple[list[int], np.ndarray]]:
+def cluster_pool(a: np.ndarray, P: np.ndarray, xy: np.ndarray, vis: np.ndarray,
+                 cfg: TrackerConfig) -> list[tuple[list[int], np.ndarray]]:
     """Group detections from different cameras into people and triangulate
-    each group: the association that builds new targets from the pool and
-    that the per-frame baseline runs on every frame.
+    each group: the association that builds new targets from the tracker's
+    pool and that the per-frame baseline runs on every frame.
 
-    The pool's epipolar affinity matrix is partitioned cycle-consistently,
-    groups of fewer than min_views_init detections are dropped, and each
-    remaining group is plain-triangulated joint by joint from the members
-    whose joint is usable. Returns (member indices, (K, 3) pose with NaN
-    rows for unsolved joints) for each group with at least one solved
-    joint, in partition order.
-
-    With scores given, the matrix and the stacked rows are cut from the ones
-    kept there when those cover every detection, and otherwise computed and
-    kept, so a pool is stacked once. When every pair scores below 0 the
-    partition is all singletons, which min_views_init >= 2 drops, so it is
-    not run.
+    a (N, N) is the detections' epipolar affinity matrix, P (N, 3, 4) holds
+    the projection matrix of each one's camera, and xy (N, K, 2) and vis
+    (N, K) are their joints and usable-joint mask from stack_detections.
+    a is partitioned cycle-consistently, groups of fewer than min_views_init
+    detections are dropped, and each remaining group is plain-triangulated
+    joint by joint from the members whose joint is usable. Returns (member
+    indices, (K, 3) pose with NaN rows for unsolved joints) for each group
+    with at least one solved joint, in partition order. When every pair
+    scores below 0 the partition is all singletons, which min_views_init >= 2
+    drops, so it is not run.
     """
-    if len(dets) < cfg.min_views_init:
-        return []
-    ids = [d.camera_id for d in dets]
-    if len(set(ids)) < 2:
-        return []
-    a = scores.lookup(dets) if scores is not None else None
-    rows = None
-    if a is None:
-        rows = stack_detections(dets, cfg.min_joint_confidence)
-        a = epipolar_affinity_matrix(rows[0], rows[2], ids, ftable, cfg)
-        if scores is not None:
-            scores.keep(dets, a, rows)
-    n = len(dets)
+    n = len(a)
     if np.count_nonzero(a < 0) == n * (n - 1):  # the zero diagonal never counts
         return []
-    part = partition_cycle_consistent(a, cfg.max_exact_partition)
-    xy, _, vis = scores.rows(dets) if rows is None else rows
     found = []
-    for c in part.clusters():
+    for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters():
         if len(c) < cfg.min_views_init:
             continue
-        X = triangulate(np.stack([cameras[ids[i]].P for i in c]), xy[c], vis[c])
+        X = triangulate(P[c], xy[c], vis[c])
         if not np.isnan(X[:, 0]).all():
             found.append((c, X))
     return found
@@ -294,9 +242,14 @@ class CrossViewTracker:
         D = P_plus[:, :3] - self._centers[:, :, None] * P_plus[:, 3:]
         self._ray_xy = np.ascontiguousarray(D[:, :, :2].transpose(0, 2, 1))
         self._ray_1 = np.ascontiguousarray(D[:, :, 2])
-        self._ftable = build_fundamental_table(cameras) if len(cameras) > 1 else {}
+        self._ftable = build_fundamental_table(cameras)
         self.targets: list[Target] = []
-        self.pool: dict[str, list[Detection]] = {}
+        # the unmatched detections of each camera's newest frame in camera-id
+        # order, their (xy, conf, vis) rows plus each one's camera P, and
+        # their epipolar matrix, None while stale since the last addition
+        self._pool: list[Detection] = []
+        self._pool_rows: tuple[np.ndarray, ...] = ()
+        self._pool_a: np.ndarray | None = None
         self.K: int | None = None
         self._last_t: dict[str, float] = {}
         # id -> camera indices of the detections that built it, for each
@@ -308,7 +261,6 @@ class CrossViewTracker:
         self._cap = 0
         self._free: list[int] = []
         self._live = np.empty(0, dtype=np.intp)
-        self._pool_scores = PoolScores()
         self._ring = np.arange(self.cfg.velocity_window)
 
     # --------------------------------------------------------------- storage
@@ -378,11 +330,7 @@ class CrossViewTracker:
                 f"camera {cid!r} went back in time: {t} after {last}")
         self._last_t[cid] = t if last is None else max(last, t)
 
-        records: list[AssignmentRecord] = []
-        for d in self.pool.pop(cid, []):
-            records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, None))
-        if self.pool:
-            records.extend(self._age_pool(t))
+        records = self._release_pool(cid, t) if self._pool else []
 
         dets = frame.detections
         accepted: list[tuple[int, int]] = []
@@ -415,7 +363,9 @@ class CrossViewTracker:
             # a camera that built a target has looked again and not seen it
             missed = {tid for tid, cams in self._unconfirmed.items() if ci in cams}
         if unmatched:
-            self.pool[cid] = [dets[c] for c in unmatched]
+            self._add_to_pool(cid, [dets[c] for c in unmatched],
+                              (dxy[unmatched], dconf[unmatched], dvm[unmatched],
+                               self._P[[ci] * len(unmatched)]))
 
         records.extend(self._initialize_targets())
         retired = self._retire(t, missed)
@@ -426,25 +376,21 @@ class CrossViewTracker:
                      for i, tg in enumerate(self.targets)]
         return StepResult(cid, t, poses, records, retired)
 
-    def _age_pool(self, now: float) -> list[AssignmentRecord]:
-        """Drop the pool entries of cameras silent for over retire_after and
-        report them unmatched."""
-        records = []
-        for c in sorted(self.pool):
-            if now - self._last_t[c] > self.cfg.retire_after:
-                for d in self.pool.pop(c):
-                    records.append(AssignmentRecord(d.camera_id, d.timestamp,
-                                                    d.index, None))
-        return records
-
     def finish(self) -> list[AssignmentRecord]:
         """Flush pool leftovers as unmatched at end of stream."""
-        records = []
-        for cid in sorted(self.pool):
-            for d in self.pool[cid]:
-                records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, None))
-        self.pool.clear()
+        records = [AssignmentRecord(d.camera_id, d.timestamp, d.index, None)
+                   for d in self._pool]
+        self._cut_pool([])
         return records
+
+    @property
+    def pool(self) -> dict[str, list[Detection]]:
+        """The pool by camera id, in camera-id order; a fresh dict on each
+        read, so changing it leaves the tracker as it was."""
+        out: dict[str, list[Detection]] = {}
+        for d in self._pool:
+            out.setdefault(d.camera_id, []).append(d)
+        return out
 
     def mean_collection_time_diff(self) -> float:
         """Mean staleness of the views feeding each incremental solve so far."""
@@ -457,7 +403,9 @@ class CrossViewTracker:
         """Vectorized body affinities, live targets x detections.
 
         NaN and inf stand for missing joints and impossible pairs, so callers
-        run this under np.errstate(all="ignore"), as step does."""
+        run this under np.errstate(all="ignore"), as step does. A usable
+        joint whose score comes out NaN, from 0 * inf or inf / inf on
+        far-off pixels or rays, makes its pair impossible (-inf)."""
         cfg = self.cfg
         live = self._live
         # unit back-projection rays of every detection joint (M, K, 3)
@@ -488,7 +436,10 @@ class CrossViewTracker:
         s3 = a3[:, None] - (a3 / cfg.alpha3d)[:, None] \
             * np.sqrt(np.einsum("lmki,lmki->lmk", perp, perp))
         A += np.where((t3 == t3)[:, None] & dvm, s3, 0.0)
-        return A.sum(axis=2)
+        # no term is ever +inf, so only a usable joint's NaN makes a sum NaN
+        A = A.sum(axis=2)
+        A[np.isnan(A)] = -np.inf
+        return A
 
     def _dlt_block(self, xy: np.ndarray, ci) -> np.ndarray:
         """r1 r1' + r2 r2', flattened to (n, 16), for the DLT rows
@@ -587,31 +538,69 @@ class CrossViewTracker:
         self._joint[sq, kq, 4:] = v
         self._vel_ok[sq, kq] = valid
 
+    def _release_pool(self, cid: str, now: float) -> list[AssignmentRecord]:
+        """Cut from the pool the previous entries of stepping camera cid and
+        those of cameras silent for over retire_after, and report them
+        unmatched: cid's first, then the others in camera-id order."""
+        pool, last, horizon = self._pool, self._last_t, self.cfg.retire_after
+        gone = [d.camera_id == cid or now - last[d.camera_id] > horizon for d in pool]
+        if not any(gone):
+            return []
+        self._cut_pool([i for i, g in enumerate(gone) if not g])
+        out = sorted((d for d, g in zip(pool, gone) if g), key=lambda d: d.camera_id != cid)
+        return [AssignmentRecord(d.camera_id, d.timestamp, d.index, None) for d in out]
+
+    def _cut_pool(self, keep: list[int]):
+        """Keep only the pool entries at positions keep, in the list, the
+        rows and the matrix alike; a cut matrix equals a fresh one, as each
+        entry depends only on its pair."""
+        pool = self._pool
+        self._pool = [pool[i] for i in keep]
+        self._pool_rows = tuple([r[keep] for r in self._pool_rows])
+        if self._pool_a is not None:
+            self._pool_a = self._pool_a[keep][:, keep]
+
+    def _add_to_pool(self, cid: str, dets: list[Detection], rows: tuple):
+        """Splice camera cid's unmatched detections and their rows into the
+        pool at the camera's place; the pool holds no entry of cid."""
+        if self._pool:
+            at = bisect_left(self._pool, cid, key=attrgetter("camera_id"))
+            self._pool[at:at] = dets
+            self._pool_rows = tuple([np.concatenate([r[:at], new, r[at:]])
+                                     for r, new in zip(self._pool_rows, rows)])
+        else:
+            self._pool = dets
+            self._pool_rows = rows
+        self._pool_a = None
+
     def _initialize_targets(self) -> list[AssignmentRecord]:
-        items: list[Detection] = []
-        for cid in sorted(self.pool):
-            items.extend(self.pool[cid])
+        """Build targets from the pool's groups once it holds min_views_init
+        entries from two cameras or more; a stale matrix is recomputed."""
+        pool = self._pool
+        if len(pool) < self.cfg.min_views_init or pool[0].camera_id == pool[-1].camera_id:
+            return []
+        xy, conf, vis, P = self._pool_rows
+        if self._pool_a is None:
+            self._pool_a = epipolar_affinity_matrix(
+                xy, vis, [d.camera_id for d in pool], self._ftable, self.cfg)
+        found = cluster_pool(self._pool_a, P, xy, vis, self.cfg)
+        if not found:
+            return []
         records: list[AssignmentRecord] = []
-        consumed: set[int] = set()
-        for cluster, X in cluster_pool(items, self.cameras, self._ftable, self.cfg,
-                                       self._pool_scores):
-            members = [items[i] for i in cluster]
-            tgt = self._build_target(members, X)
-            for d in members:
-                records.append(AssignmentRecord(d.camera_id, d.timestamp, d.index, tgt.id))
-            consumed.update(cluster)
-        if consumed:
-            kept: dict[str, list[Detection]] = {}
-            for i, d in enumerate(items):
-                if i not in consumed:
-                    kept.setdefault(d.camera_id, []).append(d)
-            self.pool = kept
+        for c, X in found:
+            members = [pool[i] for i in c]
+            tgt = self._build_target(members, X, (xy[c], conf[c], vis[c]))
+            records.extend(AssignmentRecord(d.camera_id, d.timestamp, d.index, tgt.id)
+                           for d in members)
+        consumed = {i for c, _ in found for i in c}
+        self._cut_pool([i for i in range(len(pool)) if i not in consumed])
         return records
 
-    def _build_target(self, members: list[Detection], X: np.ndarray) -> Target:
+    def _build_target(self, members: list[Detection], X: np.ndarray,
+                      rows: tuple[np.ndarray, ...]) -> Target:
         """A new target at the points X (K, 3), NaN where unsolved, holding
-        every usable joint of its member detections as observations. The
-        members' rows are the ones the pool kept when it was stacked."""
+        every usable joint of its member detections as observations; rows
+        are the members' (xy, conf, vis) rows from the pool."""
         t_ref = max(d.timestamp for d in members)
         s = self._alloc_slot()
         ks = (X[:, 0] == X[:, 0]).nonzero()[0]  # the solved joints
@@ -621,7 +610,7 @@ class CrossViewTracker:
         self._hist_n[s, ks] = 1
         # one row per usable member joint; members come from distinct
         # cameras, so no two rows write the same observation
-        xy, conf, vis = self._pool_scores.rows(members)
+        xy, conf, vis = rows
         cams = [self._cam_idx[d.camera_id] for d in members]
         m, k = vis.nonzero()
         ci = np.array(cams)[m]

@@ -577,6 +577,39 @@ def test_empty_or_incomplete_calibration_is_a_parse_error(tmp_path, capsys, comm
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("case", ["w2d-zero", "scaled-P"])
+def test_far_off_joint_never_gives_a_nan_target_affinity(tmp_path, capsys, case):
+    """Joint 0 of every detection of one frame at the finite pixel
+    (1.7e308, 1.7e308). With w2d = 0 its 2D term is 0 * inf; with every P
+    scaled by 1e-6, which leaves the cameras as they were, its ray overflows
+    and the 3D term is inf / inf. Either NaN must make the pair impossible
+    instead of reaching the assignment."""
+    calib, dets, _ = write_scene_files(tmp_path, n_people=4, n_cameras=12, rig="grid",
+                                       fps=25.0, duration=0.5, seed=11)
+    lines = dets.read_text().splitlines(keepends=True)
+    frame = json.loads(lines[50])
+    for d in frame["detections"]:
+        d["joints"][0] = [1.7e308, 1.7e308, 1.0]
+    lines[50] = json.dumps(frame) + "\n"
+    dets.write_text("".join(lines))
+    if case == "w2d-zero":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"w2d": 0}')
+        extra = ["--config", str(cfg)]
+    else:
+        rows = [json.loads(line) for line in calib.read_text().splitlines()]
+        for row in rows:
+            row["P"] = [v * 1e-6 for v in row["P"]]
+        calib = tmp_path / "scaled.jsonl"
+        calib.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        extra = []
+    tracks = tmp_path / "tracks.jsonl"
+    assert main(["track", "--calib", str(calib), "--input", str(dets),
+                 "--output", str(tracks)] + extra) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(tracks.read_text().splitlines()) == len(lines)
+
+
 def test_bench_emits_csv_rows(tmp_path, capsys):
     assert main(["bench", "--cameras", "2,3", "--people", "1",
                  "--duration", "0.4", "--baseline"]) == 0
