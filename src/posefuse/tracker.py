@@ -2,8 +2,9 @@
 
 Targets live in 3-space and are updated one camera frame at a time; no
 frame-level synchronization between cameras is assumed anywhere. All target
-state sits in tracker-level arrays indexed by slot so that each step runs a
-constant number of vectorized passes regardless of how many targets matched.
+state sits in tracker-level arrays with one row per live target, rows
+0..L-1 in output order, so that each step runs a constant number of
+vectorized passes over slices of them regardless of how many targets matched.
 """
 
 from __future__ import annotations
@@ -132,9 +133,12 @@ class FrameBatch:
 
 def stack_detections(dets: list[Detection], min_confidence: float):
     """Joints (M, K, 2), confidences (M, K) and the mask of usable joints:
-    finite, with confidence at least min_confidence."""
+    finite, with confidence at least min_confidence. Raises ValueError
+    unless every detection has K joints and K confidences."""
     xy = np.array([d.joints for d in dets])
     conf = np.array([d.confidences for d in dets])
+    if conf.shape != xy.shape[:2]:
+        raise ValueError("a detection's confidences do not match its joints")
     return xy, conf, (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
 
 
@@ -193,10 +197,8 @@ class StepResult:
 
 
 class Target:
-    """Handle onto one live slot of the tracker's state arrays.
-
-    Valid while the target is live; a retired target's slot may be reused.
-    """
+    """Handle onto a live target, whose row in the tracker's state arrays is
+    slot; valid until the tracker's next step, which may move or retire it."""
 
     __slots__ = ("id", "slot", "_tr")
 
@@ -211,7 +213,7 @@ class Target:
 
     @property
     def last_matched(self) -> float:
-        return float(self._tr._slot_last[self.slot])
+        return float(self._tr._last_match[self.slot])
 
 
 class CrossViewTracker:
@@ -243,7 +245,8 @@ class CrossViewTracker:
         self._ray_xy = np.ascontiguousarray(D[:, :, :2].transpose(0, 2, 1))
         self._ray_1 = np.ascontiguousarray(D[:, :, 2])
         self._ftable = build_fundamental_table(cameras)
-        self.targets: list[Target] = []
+        # the id of the live target in each row of the state arrays
+        self._ids: list[int] = []
         # the unmatched detections of each camera's newest frame in camera-id
         # order, their (xy, conf, vis) rows plus each one's camera P, and
         # their epipolar matrix, None while stale since the last addition
@@ -252,69 +255,36 @@ class CrossViewTracker:
         self._pool_a: np.ndarray | None = None
         self.K: int | None = None
         self._last_t: dict[str, float] = {}
-        # id -> camera indices of the detections that built it, for each
-        # target not yet matched since it was built
-        self._unconfirmed: dict[int, frozenset[int]] = {}
         self._next_id = 0
         self._dt_sum = 0.0
         self._dt_count = 0
-        self._cap = 0
-        self._free: list[int] = []
-        self._live = np.empty(0, dtype=np.intp)
         self._ring = np.arange(self.cfg.velocity_window)
 
     # --------------------------------------------------------------- storage
 
-    _SLOT_ARRAYS = ("_joint", "_vel_ok", "_obs_xy", "_obs_dlt", "_obs_t",
-                    "_obs_conf", "_hist", "_hist_n", "_slot_last")
+    _ROW_ARRAYS = ("_joint", "_vel_ok", "_obs_xy", "_obs_dlt", "_obs_t",
+                   "_obs_conf", "_hist", "_hist_n", "_last_match", "_built_by")
 
-    def _ensure_store(self, K: int):
-        if self._cap:
-            return
-        self._alloc(8, K)
-
-    def _alloc(self, cap: int, K: int):
-        C, W = len(self._cam_ids), self.cfg.velocity_window
+    def _alloc(self, K: int):
+        """Room for 8 targets; _build_target doubles it when full and sets
+        up each new row."""
+        n, C, W = 8, len(self._cam_ids), self.cfg.velocity_window
         # per joint: point x, y, z, its time (NaN while unsolved), then the
         # velocity, which is zero whenever it is not valid
-        self._joint = np.zeros((cap, K, 7))
-        self._joint[:, :, :4] = np.nan
-        self._vel_ok = np.zeros((cap, K), dtype=bool)
-        self._obs_xy = np.zeros((cap, K, C, 2))
+        self._joint = np.zeros((n, K, 7))
+        self._vel_ok = np.zeros((n, K), dtype=bool)
+        self._obs_xy = np.zeros((n, K, C, 2))
         # each observation's two DLT rows r1, r2 as the flattened 4x4 block
         # r1 r1' + r2 r2', cached when the observation is written
-        self._obs_dlt = np.zeros((cap, K, C, 16))
-        self._obs_t = np.full((cap, K, C), -np.inf)  # -inf: never observed
-        self._obs_conf = np.zeros((cap, K, C))
-        self._hist = np.zeros((cap, K, W, 4))  # ring of (x, y, z, t) solutions
-        self._hist_n = np.zeros((cap, K), dtype=np.int64)
-        self._slot_last = np.zeros(cap)
-        self._free = list(range(cap - 1, -1, -1))
-        self._cap = cap
-
-    def _grow(self):
-        old = [getattr(self, name) for name in self._SLOT_ARRAYS]
-        cap = self._cap
-        self._alloc(cap * 2, self.K)
-        for name, old_a in zip(self._SLOT_ARRAYS, old):
-            getattr(self, name)[:cap] = old_a
-        self._free = list(range(self._cap - 1, cap - 1, -1))
-
-    def _alloc_slot(self) -> int:
-        if not self._free:
-            self._grow()
-        s = self._free.pop()
-        self._joint[s, :, :4] = np.nan
-        self._joint[s, :, 4:] = 0.0
-        self._vel_ok[s] = False
-        self._obs_xy[s] = 0.0
-        self._obs_t[s] = -np.inf
-        self._obs_conf[s] = 0.0
-        self._hist_n[s] = 0
-        return s
-
-    def _rebuild_live(self):
-        self._live = np.array([tg.slot for tg in self.targets], dtype=np.intp)
+        self._obs_dlt = np.zeros((n, K, C, 16))
+        self._obs_t = np.zeros((n, K, C))  # -inf in a live row: never observed
+        self._obs_conf = np.zeros((n, K, C))
+        self._hist = np.zeros((n, K, W, 4))  # ring of (x, y, z, t) solutions
+        self._hist_n = np.zeros((n, K), dtype=np.int64)
+        self._last_match = np.zeros(n)
+        # the cameras whose detections built the target, while no frame has
+        # matched it since
+        self._built_by = np.zeros((n, C), dtype=bool)
 
     # ------------------------------------------------------------- pipeline
 
@@ -328,22 +298,25 @@ class CrossViewTracker:
         if last is not None and t < last - EPS_CLOCK:
             raise ChronologyViolation(
                 f"camera {cid!r} went back in time: {t} after {last}")
+        dets = frame.detections
+        if dets:
+            # stacked and checked before any state changes, so that a frame
+            # that raises leaves the tracker as it was
+            dxy, dconf, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
+            k = dxy.shape[1]
+            if self.K is None:
+                self.K = k
+                self._alloc(k)
+            elif k != self.K:
+                raise ValueError(f"joint count changed from {self.K} to {k}")
         self._last_t[cid] = t if last is None else max(last, t)
 
         records = self._release_pool(cid, t) if self._pool else []
 
-        dets = frame.detections
         accepted: list[tuple[int, int]] = []
         unmatched = list(range(len(dets)))
-        if dets:
-            k = dets[0].joints.shape[0]
-            if self.K is None:
-                self.K = k
-            elif k != self.K:
-                raise ValueError(f"joint count changed from {self.K} to {k}")
-            self._ensure_store(k)
-            dxy, dconf, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
-        if dets and self.targets:
+        n_old = len(self._ids)
+        if dets and n_old:
             with np.errstate(all="ignore"):
                 A = self._affinity_core(dxy, dvm, ci, t)
                 pairs = hungarian_max(A)
@@ -351,29 +324,22 @@ class CrossViewTracker:
                                                         self.cfg.match_threshold)
                 if accepted:
                     rc = np.array(accepted, dtype=np.intp)
-                    self._update_matched(self._live[rc[:, 0]], rc[:, 1], dxy, dconf,
-                                         dvm, ci, t)
+                    self._update_matched(rc[:, 0], rc[:, 1], dxy, dconf, dvm, ci, t)
             for r, c in accepted:
                 records.append(AssignmentRecord(cid, dets[c].timestamp,
-                                                dets[c].index, self.targets[r].id))
-        missed: set[int] = set()
-        if self._unconfirmed:
-            for r, _ in accepted:
-                self._unconfirmed.pop(self.targets[r].id, None)
-            # a camera that built a target has looked again and not seen it
-            missed = {tid for tid, cams in self._unconfirmed.items() if ci in cams}
+                                                dets[c].index, self._ids[r]))
         if unmatched:
             self._add_to_pool(cid, [dets[c] for c in unmatched],
                               (dxy[unmatched], dconf[unmatched], dvm[unmatched],
                                self._P[[ci] * len(unmatched)]))
 
         records.extend(self._initialize_targets())
-        retired = self._retire(t, missed)
+        retired = self._retire(t, ci, n_old)
         poses = []
-        if self.targets:
-            J = self._joint[self._live]
-            poses = [TargetPose(tg.id, J[i, :, :3], J[i, :, 3])
-                     for i, tg in enumerate(self.targets)]
+        L = len(self._ids)
+        if L:
+            J = self._joint[:L].copy()  # a view would change under later steps
+            poses = [TargetPose(tid, j[:, :3], j[:, 3]) for tid, j in zip(self._ids, J)]
         return StepResult(cid, t, poses, records, retired)
 
     def finish(self) -> list[AssignmentRecord]:
@@ -382,6 +348,12 @@ class CrossViewTracker:
                    for d in self._pool]
         self._cut_pool([])
         return records
+
+    @property
+    def targets(self) -> list[Target]:
+        """The live targets in output order; a fresh list of handles on each
+        read, valid until the next step."""
+        return [Target(self, tid, r) for r, tid in enumerate(self._ids)]
 
     @property
     def pool(self) -> dict[str, list[Detection]]:
@@ -407,7 +379,7 @@ class CrossViewTracker:
         joint whose score comes out NaN, from 0 * inf or inf / inf on
         far-off pixels or rays, makes its pair impossible (-inf)."""
         cfg = self.cfg
-        live = self._live
+        L = len(self._ids)
         # unit back-projection rays of every detection joint (M, K, 3)
         u = dxy @ self._ray_xy[ci] + self._ray_1[ci]
         u /= np.sqrt(np.einsum("mki,mki->mk", u, u))[..., None]
@@ -415,10 +387,10 @@ class CrossViewTracker:
         # 2D term against each target's last observation in this camera;
         # dt2 == 0 gives -inf for any pixel gap and, through 0 * inf, NaN
         # that becomes w2d for none
-        pt = self._obs_t[live, :, ci]  # (L, K); -inf where never observed
+        pt = self._obs_t[:L, :, ci]  # (L, K); -inf where never observed
         dt2 = np.maximum(t - pt, 0.0)
         a2 = cfg.w2d * np.exp(-cfg.lambda_a * dt2)
-        diff = self._obs_xy[live, :, ci][:, None] - dxy
+        diff = self._obs_xy[:L, :, ci][:, None] - dxy
         s2 = a2[:, None] - (a2 / (cfg.alpha2d * dt2))[:, None] \
             * np.hypot(diff[..., 0], diff[..., 1])
         if not dt2.all():
@@ -427,7 +399,7 @@ class CrossViewTracker:
 
         # 3D term: distance from the velocity-predicted point to each ray;
         # velocity is zero wherever it is not valid
-        J = self._joint[live]
+        J = self._joint[:L]
         t3 = J[..., 3]
         dt3 = np.maximum(t - t3, 0.0)
         v = J[..., :3] + J[..., 4:] * dt3[..., None] - self._centers[ci]
@@ -452,17 +424,19 @@ class CrossViewTracker:
             r /= np.sqrt(np.einsum("nij,nij->ni", r, r))[:, :, None]
         return (np.ascontiguousarray(r.transpose(0, 2, 1)) @ r).reshape(-1, 16)
 
-    def _update_matched(self, sl: np.ndarray, msel: np.ndarray, dxy: np.ndarray,
+    def _update_matched(self, rows: np.ndarray, msel: np.ndarray, dxy: np.ndarray,
                         dconf: np.ndarray, dvm: np.ndarray, ci: int, t: float):
-        """One batched state update covering every matched (target, detection).
+        """One batched state update covering every matched (target row,
+        detection); a match confirms the target.
 
         Runs under step's np.errstate(all="ignore")."""
         cfg = self.cfg
-        self._slot_last[sl] = np.maximum(self._slot_last[sl], t)
+        self._last_match[rows] = np.maximum(self._last_match[rows], t)
+        self._built_by[rows] = False
         p_i, kq = dvm[msel].nonzero()
         if p_i.size == 0:
             return
-        sq = sl[p_i]
+        sq = rows[p_i]
         m_i = msel[p_i]
         xy = dxy[m_i, kq]
         self._obs_xy[sq, kq, ci] = xy
@@ -598,11 +572,26 @@ class CrossViewTracker:
 
     def _build_target(self, members: list[Detection], X: np.ndarray,
                       rows: tuple[np.ndarray, ...]) -> Target:
-        """A new target at the points X (K, 3), NaN where unsolved, holding
-        every usable joint of its member detections as observations; rows
-        are the members' (xy, conf, vis) rows from the pool."""
+        """A new target in the row after the last, at the points X (K, 3),
+        NaN where unsolved, holding every usable joint of its member
+        detections as observations; rows are the members' (xy, conf, vis)
+        rows from the pool."""
         t_ref = max(d.timestamp for d in members)
-        s = self._alloc_slot()
+        s = len(self._ids)
+        if s == len(self._joint):
+            for name in self._ROW_ARRAYS:
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
+        # the row may hold a retired target's state; the history ring and
+        # DLT blocks need no reset, as _hist_n and _obs_t mask them
+        self._joint[s, :, :4] = np.nan
+        self._joint[s, :, 4:] = 0.0
+        self._vel_ok[s] = False
+        self._obs_xy[s] = 0.0
+        self._obs_t[s] = -np.inf
+        self._obs_conf[s] = 0.0
+        self._hist_n[s] = 0
+        self._built_by[s] = False
         ks = (X[:, 0] == X[:, 0]).nonzero()[0]  # the solved joints
         self._joint[s, ks, :3] = X[ks]
         self._joint[s, ks, 3] = t_ref
@@ -619,31 +608,29 @@ class CrossViewTracker:
         self._obs_dlt[s, k, ci] = self._dlt_block(pts, ci)
         self._obs_t[s, k, ci] = np.array([d.timestamp for d in members])[m]
         self._obs_conf[s, k, ci] = conf[m, k]
-        self._slot_last[s] = t_ref
+        self._last_match[s] = t_ref
+        self._built_by[s, cams] = True
         tgt = Target(self, self._next_id, s)
         self._next_id += 1
-        self.targets.append(tgt)
-        self._unconfirmed[tgt.id] = frozenset(cams)
-        self._rebuild_live()
+        self._ids.append(tgt.id)
         return tgt
 
-    def _retire(self, now: float, missed: set[int]) -> list[int]:
+    def _retire(self, now: float, ci: int, n_old: int) -> list[int]:
         """Retire the targets unmatched for over retire_after and the
-        unconfirmed targets in missed, returning their ids."""
-        if not self.targets:
+        unconfirmed ones that camera ci built among the first n_old rows,
+        those built before this step; return their ids. The rows left move
+        up in order, as row order is the output order and breaks Hungarian ties."""
+        L = len(self._ids)
+        if not L:
             return []
-        lag = now - self._slot_last[self._live]
-        if not missed and not lag.max() > self.cfg.retire_after:
+        gone = now - self._last_match[:L] > self.cfg.retire_after
+        gone[:n_old] |= self._built_by[:n_old, ci]
+        if not gone.any():
             return []
-        gone = []
-        kept = []
-        for tg, stale in zip(self.targets, lag > self.cfg.retire_after):
-            if stale or tg.id in missed:
-                gone.append(tg.id)
-                self._free.append(tg.slot)
-                self._unconfirmed.pop(tg.id, None)
-            else:
-                kept.append(tg)
-        self.targets = kept
-        self._rebuild_live()
-        return gone
+        keep = (~gone).nonzero()[0]
+        for name in self._ROW_ARRAYS:
+            a = getattr(self, name)
+            a[:keep.size] = a[keep]
+        ids = self._ids
+        self._ids = [ids[r] for r in keep]
+        return [ids[r] for r in gone.nonzero()[0]]

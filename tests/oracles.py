@@ -403,10 +403,10 @@ class JointState:
 
 
 def joint_state(tr, target, k: int) -> JointState:
-    """Joint k of a live target, read from the tracker's slot arrays: the
-    point (None while unsolved), its time and velocity, the newest
-    observation per camera as (pixel, confidence, time), and the solution
-    history in time order."""
+    """Joint k of a live target, read from its row target.slot of the
+    tracker's state arrays: the point (None while unsolved), its time and
+    velocity, the newest observation per camera as (pixel, confidence,
+    time), and the solution history in time order."""
     s = target.slot
     j = tr._joint[s, k]
     point = j[:3].copy() if np.isfinite(j[:3]).all() else None

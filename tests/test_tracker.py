@@ -5,6 +5,7 @@ implementations they must agree with.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from posefuse.assignment import partition_cycle_consistent
 from posefuse.evaluation import mot_metrics, pcp, project_step_roots
 from posefuse.reconstruction import UnknownCamera, triangulate
 from posefuse.simulator import ScenarioSpec, generate
-from posefuse.tracker import CrossViewTracker, Detection, FrameBatch, cluster_pool, \
-    null_directions, stack_detections
+from posefuse.tracker import AssignmentRecord, CrossViewTracker, Detection, FrameBatch, \
+    cluster_pool, null_directions, stack_detections
 
 import oracles
 from helpers import add_shifted_ghosts, make_camera
@@ -248,6 +249,42 @@ def test_joint_count_change_rejected():
         tr.step(FrameBatch(frames[1].camera_id, frames[1].timestamp, [bad]))
 
 
+@pytest.mark.parametrize("case", ["joint-count", "mixed-joint-counts", "one-confidence"])
+def test_a_frame_that_raises_leaves_the_tracker_unchanged(case):
+    cams, frames, _ = static_scene(n_cameras=3)
+    first, rest = frames[0], frames[1:]
+    cid, (det,) = first.camera_id, first.detections
+    K = det.joints.shape[0]
+    # later than the camera's next frame, so a clock moved by it would
+    # reject that frame
+    t = next(f.timestamp for f in rest if f.camera_id == cid) + 0.5
+    short = Detection(cid, t, np.zeros((K - 1, 2)), np.ones(K - 1), 1)
+    bad = FrameBatch(cid, t, {
+        "joint-count": [short],
+        "mixed-joint-counts": [Detection(cid, t, det.joints, det.confidences), short],
+        # one confidence would broadcast over all K joints
+        "one-confidence": [Detection(cid, t, det.joints, det.confidences[:1])]}[case])
+
+    def after_bad_frame():
+        tr = CrossViewTracker(cams)
+        tr.step(first)
+        with pytest.raises(ValueError):
+            tr.step(bad)
+        return tr
+
+    tr = after_bad_frame()
+    assert tr._last_t == {cid: first.timestamp} and tr.K == K
+    assert tr.finish() == [AssignmentRecord(cid, first.timestamp, 0, None)]
+    tr, ref = after_bad_frame(), CrossViewTracker(cams)
+    ref.step(first)
+    for f in rest:
+        out, want = tr.step(f), ref.step(f)
+        assert out.assignments == want.assignments and out.retired == want.retired
+        assert [(p.id, p.joints.tobytes()) for p in out.poses] \
+            == [(p.id, p.joints.tobytes()) for p in want.poses]
+    assert tr.finish() == ref.finish()
+
+
 def test_poses_cover_all_live_targets_every_step():
     cams, frames, _ = static_scene(n_people=2, n_cameras=4, duration=1.0)
     tr = CrossViewTracker(cams)
@@ -361,6 +398,52 @@ def test_ghost_detections_leave_real_people_untouched():
             by_person.setdefault(pid, set()).add(r.target_id)
     assert sorted(by_person) == [0, 1, 2]
     assert all(len(tids) == 1 for tids in by_person.values())
+
+
+def frozen_state(js):
+    """A joint_state answer as plain bytes and numbers, NaN included, so two
+    answers compare equal only when they are bit for bit the same."""
+    return (None if js.point is None else js.point.tobytes(),
+            np.float64(js.point_time).tobytes(), js.velocity.tobytes(),
+            js.velocity_valid,
+            {c: (xy.tobytes(), conf, t) for c, (xy, conf, t) in js.observations.items()},
+            [(t, p.tobytes()) for t, p in js.history])
+
+
+def test_retiring_keeps_each_survivors_state_and_earlier_poses():
+    spec = ScenarioSpec(n_people=5, n_cameras=6, duration=3.0, seed=3, noise_sigma=2.0)
+    cams, frames, _ = generate(spec)
+    tr = CrossViewTracker(cams)
+    returned = []  # each pose handed out, with copies of its arrays as returned
+    kept = moved = 0
+    for f in add_shifted_ghosts(frames, spec.image_size, 1.0, seed=3):
+        # every row array's live rows before the step, readable by joint_state
+        rows = {tg.id: tg.slot for tg in tr.targets}
+        snap = SimpleNamespace(_cam_ids=tr._cam_ids, **{
+            name: getattr(tr, name)[:len(rows)].copy()
+            for name in tr._ROW_ARRAYS if rows})
+        out = tr.step(f)
+        ids = [tg.id for tg in tr.targets]
+        assert [p.id for p in out.poses] == ids == sorted(ids)
+        matched = {r.target_id for r in out.assignments}
+        # on a step that retires, each older target it did not match keeps
+        # its state, whether its row moved up or not
+        survivors = [tg for tg in tr.targets if tg.id in rows and tg.id not in matched]
+        for tg in survivors if out.retired else []:
+            was = rows[tg.id]
+            moved += tg.slot != was
+            for name in tr._ROW_ARRAYS:
+                assert getattr(tr, name)[tg.slot].tobytes() \
+                    == getattr(snap, name)[was].tobytes(), name
+            for k in range(tr.K):
+                assert frozen_state(joint_state(tr, tg, k)) \
+                    == frozen_state(joint_state(snap, SimpleNamespace(slot=was), k))
+            kept += 1
+        returned.extend((p, p.joints.copy(), p.joint_times.copy()) for p in out.poses)
+        assert all(p.joints.tobytes() == xyz.tobytes() and p.joint_times.tobytes()
+                   == ts.tobytes() for p, xyz, ts in returned)
+    # survivors moved up past a retired row, not only rows cut from the end
+    assert kept >= 20 and moved >= 5
 
 
 def test_silent_cameras_pool_entries_age_out():
@@ -545,12 +628,18 @@ def test_cluster_pool_equals_the_full_partition_on_random_pools(monkeypatch,
     assert skipped >= 5 and zero_merged >= 1
 
 
-def test_affinity_matrix_matches_scalar_reference():
-    spec = ScenarioSpec(n_people=3, n_cameras=4, duration=2.0, seed=11,
-                        noise_sigma=1.0, dropout=0.1)
+# ten people: more live targets than the 8 rows the tracker starts with
+GRID10 = ScenarioSpec(n_people=10, n_cameras=4, rig="grid", duration=1.0, seed=3)
+
+
+@pytest.mark.parametrize("spec, min_checked", [
+    pytest.param(ScenarioSpec(n_people=3, n_cameras=4, duration=2.0, seed=11,
+                              noise_sigma=1.0, dropout=0.1), 5, id="ring3"),
+    pytest.param(GRID10, 4, id="grid10")])
+def test_affinity_matrix_matches_scalar_reference(spec, min_checked):
     cams, frames, _ = generate(spec)
     tr = CrossViewTracker(cams)
-    checked = 0
+    checked = peak = 0
     for i, f in enumerate(frames):
         if tr.targets and f.detections and i % 23 == 0:
             dxy, _, dvm = stack_detections(f.detections, tr.cfg.min_joint_confidence)
@@ -563,22 +652,31 @@ def test_affinity_matrix_matches_scalar_reference():
             assert np.allclose(vec, ref, atol=1e-9)
             checked += 1
         tr.step(f)
-    assert checked >= 5
+        peak = max(peak, len(tr.targets))
+    assert checked >= min_checked
+    assert (peak > 8) == (spec.n_people > 8)
 
 
-@pytest.mark.parametrize("confidence_weighting", [False, True])
-def test_update_matches_weighted_triangulation_reference(confidence_weighting):
-    spec = ScenarioSpec(n_people=2, n_cameras=5, duration=1.5, seed=13,
-                        noise_sigma=1.0)
+RING2 = ScenarioSpec(n_people=2, n_cameras=5, duration=1.5, seed=13, noise_sigma=1.0)
+
+
+@pytest.mark.parametrize("spec, confidence_weighting", [
+    pytest.param(RING2, False, id="False"), pytest.param(RING2, True, id="True"),
+    pytest.param(GRID10, False, id="grid10-False"),
+    pytest.param(GRID10, True, id="grid10-True")])
+def test_update_matches_weighted_triangulation_reference(spec, confidence_weighting):
     cams, frames, _ = generate(spec)
     # a seeded per-detection scale makes the confidences differ across views
     scale = np.random.default_rng(13)
     tr = CrossViewTracker(cams, TrackerConfig(confidence_weighting=confidence_weighting))
+    peak = 0
     for f in frames:
         tr.step(FrameBatch(f.camera_id, f.timestamp, [
             Detection(d.camera_id, d.timestamp, d.joints,
                       d.confidences * scale.uniform(0.2, 1.0), d.index)
             for d in f.detections]))
+        peak = max(peak, len(tr.targets))
+    assert (peak > 8) == (spec.n_people > 8)
     checked = 0
     for tg in tr.targets:
         for k in range(tr.K):
