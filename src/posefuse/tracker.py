@@ -9,6 +9,7 @@ vectorized passes over slices of them regardless of how many targets matched.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
@@ -248,10 +249,9 @@ class CrossViewTracker:
         # the id of the live target in each row of the state arrays
         self._ids: list[int] = []
         # the unmatched detections of each camera's newest frame in camera-id
-        # order, their (xy, conf, vis) rows plus each one's camera P, and
-        # their epipolar matrix, None while stale since the last addition
+        # order, and their epipolar matrix, None while stale since the last
+        # addition
         self._pool: list[Detection] = []
-        self._pool_rows: tuple[np.ndarray, ...] = ()
         self._pool_a: np.ndarray | None = None
         self.K: int | None = None
         self._last_t: dict[str, float] = {}
@@ -262,8 +262,8 @@ class CrossViewTracker:
 
     # --------------------------------------------------------------- storage
 
-    _ROW_ARRAYS = ("_joint", "_vel_ok", "_obs_xy", "_obs_dlt", "_obs_t",
-                   "_obs_conf", "_hist", "_hist_n", "_last_match", "_built_by")
+    _ROW_ARRAYS = ("_joint", "_obs_xy", "_obs_dlt", "_obs_t", "_obs_conf",
+                   "_hist", "_hist_n", "_last_match", "_built_by")
 
     def _alloc(self, K: int):
         """Room for 8 targets; _build_target doubles it when full and sets
@@ -272,7 +272,6 @@ class CrossViewTracker:
         # per joint: point x, y, z, its time (NaN while unsolved), then the
         # velocity, which is zero whenever it is not valid
         self._joint = np.zeros((n, K, 7))
-        self._vel_ok = np.zeros((n, K), dtype=bool)
         self._obs_xy = np.zeros((n, K, C, 2))
         # each observation's two DLT rows r1, r2 as the flattened 4x4 block
         # r1 r1' + r2 r2', cached when the observation is written
@@ -294,14 +293,20 @@ class CrossViewTracker:
         if ci is None:
             raise UnknownCamera(cid)
         t = frame.timestamp
+        if not math.isfinite(t):
+            raise ValueError(f"camera {cid!r} sent a frame at {t}")
         last = self._last_t.get(cid)
         if last is not None and t < last - EPS_CLOCK:
             raise ChronologyViolation(
                 f"camera {cid!r} went back in time: {t} after {last}")
         dets = frame.detections
         if dets:
-            # stacked and checked before any state changes, so that a frame
+            # checked and stacked before any state changes, so that a frame
             # that raises leaves the tracker as it was
+            for d in dets:
+                if d.camera_id != cid or d.timestamp != t:
+                    raise ValueError(f"a detection in camera {cid!r}'s frame at {t} "
+                                     f"carries camera {d.camera_id!r} and time {d.timestamp}")
             dxy, dconf, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
             k = dxy.shape[1]
             if self.K is None:
@@ -329,9 +334,7 @@ class CrossViewTracker:
                 records.append(AssignmentRecord(cid, dets[c].timestamp,
                                                 dets[c].index, self._ids[r]))
         if unmatched:
-            self._add_to_pool(cid, [dets[c] for c in unmatched],
-                              (dxy[unmatched], dconf[unmatched], dvm[unmatched],
-                               self._P[[ci] * len(unmatched)]))
+            self._add_to_pool(cid, [dets[c] for c in unmatched])
 
         records.extend(self._initialize_targets())
         retired = self._retire(t, ci, n_old)
@@ -375,9 +378,10 @@ class CrossViewTracker:
         """Vectorized body affinities, live targets x detections.
 
         NaN and inf stand for missing joints and impossible pairs, so callers
-        run this under np.errstate(all="ignore"), as step does. A usable
-        joint whose score comes out NaN, from 0 * inf or inf / inf on
-        far-off pixels or rays, makes its pair impossible (-inf)."""
+        run this under np.errstate(all="ignore"), as step does. A pair is
+        impossible (-inf) when no usable joint has a term, as nothing then
+        ties the detection to the target, or when a usable joint's score
+        comes out NaN, from 0 * inf or inf / inf on far-off pixels or rays."""
         cfg = self.cfg
         L = len(self._ids)
         # unit back-projection rays of every detection joint (M, K, 3)
@@ -395,7 +399,8 @@ class CrossViewTracker:
             * np.hypot(diff[..., 0], diff[..., 1])
         if not dt2.all():
             s2[np.isnan(s2)] = cfg.w2d
-        A = np.where((pt > -np.inf)[:, None] & dvm, s2, 0.0)
+        has2 = (pt > -np.inf)[:, None] & dvm  # (L, M, K)
+        A = np.where(has2, s2, 0.0)
 
         # 3D term: distance from the velocity-predicted point to each ray;
         # velocity is zero wherever it is not valid
@@ -407,10 +412,11 @@ class CrossViewTracker:
         a3 = cfg.w3d * np.exp(-cfg.lambda_a * dt3)
         s3 = a3[:, None] - (a3 / cfg.alpha3d)[:, None] \
             * np.sqrt(np.einsum("lmki,lmki->lmk", perp, perp))
-        A += np.where((t3 == t3)[:, None] & dvm, s3, 0.0)
+        has3 = (t3 == t3)[:, None] & dvm
+        A += np.where(has3, s3, 0.0)
         # no term is ever +inf, so only a usable joint's NaN makes a sum NaN
         A = A.sum(axis=2)
-        A[np.isnan(A)] = -np.inf
+        A[np.isnan(A) | ~(has2 | has3).any(axis=2)] = -np.inf
         return A
 
     def _dlt_block(self, xy: np.ndarray, ci) -> np.ndarray:
@@ -427,15 +433,14 @@ class CrossViewTracker:
     def _update_matched(self, rows: np.ndarray, msel: np.ndarray, dxy: np.ndarray,
                         dconf: np.ndarray, dvm: np.ndarray, ci: int, t: float):
         """One batched state update covering every matched (target row,
-        detection); a match confirms the target.
+        detection); a match confirms the target. Each matched detection has a
+        usable joint, as _affinity_core makes a pair without one impossible.
 
         Runs under step's np.errstate(all="ignore")."""
         cfg = self.cfg
         self._last_match[rows] = np.maximum(self._last_match[rows], t)
         self._built_by[rows] = False
         p_i, kq = dvm[msel].nonzero()
-        if p_i.size == 0:
-            return
         sq = rows[p_i]
         m_i = msel[p_i]
         xy = dxy[m_i, kq]
@@ -510,7 +515,6 @@ class CrossViewTracker:
         v = (d[:, None] @ hist[..., :3])[:, 0]
         v /= np.where(valid, np.einsum("qw,qw->q", d, d), np.inf)[:, None]
         self._joint[sq, kq, 4:] = v
-        self._vel_ok[sq, kq] = valid
 
     def _release_pool(self, cid: str, now: float) -> list[AssignmentRecord]:
         """Cut from the pool the previous entries of stepping camera cid and
@@ -525,38 +529,33 @@ class CrossViewTracker:
         return [AssignmentRecord(d.camera_id, d.timestamp, d.index, None) for d in out]
 
     def _cut_pool(self, keep: list[int]):
-        """Keep only the pool entries at positions keep, in the list, the
-        rows and the matrix alike; a cut matrix equals a fresh one, as each
-        entry depends only on its pair."""
+        """Keep only the pool entries at positions keep, in the list and the
+        matrix alike; a cut matrix equals a fresh one, as each entry depends
+        only on its pair."""
         pool = self._pool
         self._pool = [pool[i] for i in keep]
-        self._pool_rows = tuple([r[keep] for r in self._pool_rows])
         if self._pool_a is not None:
             self._pool_a = self._pool_a[keep][:, keep]
 
-    def _add_to_pool(self, cid: str, dets: list[Detection], rows: tuple):
-        """Splice camera cid's unmatched detections and their rows into the
-        pool at the camera's place; the pool holds no entry of cid."""
-        if self._pool:
-            at = bisect_left(self._pool, cid, key=attrgetter("camera_id"))
-            self._pool[at:at] = dets
-            self._pool_rows = tuple([np.concatenate([r[:at], new, r[at:]])
-                                     for r, new in zip(self._pool_rows, rows)])
-        else:
-            self._pool = dets
-            self._pool_rows = rows
+    def _add_to_pool(self, cid: str, dets: list[Detection]):
+        """Splice camera cid's unmatched detections into the pool at the
+        camera's place; the pool holds no entry of cid."""
+        at = bisect_left(self._pool, cid, key=attrgetter("camera_id"))
+        self._pool[at:at] = dets
         self._pool_a = None
 
     def _initialize_targets(self) -> list[AssignmentRecord]:
         """Build targets from the pool's groups once it holds min_views_init
-        entries from two cameras or more; a stale matrix is recomputed."""
+        entries from two cameras or more, stacking the pool for the call; a
+        stale matrix is recomputed."""
         pool = self._pool
         if len(pool) < self.cfg.min_views_init or pool[0].camera_id == pool[-1].camera_id:
             return []
-        xy, conf, vis, P = self._pool_rows
+        xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
+        cams = [d.camera_id for d in pool]
         if self._pool_a is None:
-            self._pool_a = epipolar_affinity_matrix(
-                xy, vis, [d.camera_id for d in pool], self._ftable, self.cfg)
+            self._pool_a = epipolar_affinity_matrix(xy, vis, cams, self._ftable, self.cfg)
+        P = self._P[[self._cam_idx[c] for c in cams]]
         found = cluster_pool(self._pool_a, P, xy, vis, self.cfg)
         if not found:
             return []
@@ -575,7 +574,7 @@ class CrossViewTracker:
         """A new target in the row after the last, at the points X (K, 3),
         NaN where unsolved, holding every usable joint of its member
         detections as observations; rows are the members' (xy, conf, vis)
-        rows from the pool."""
+        from stack_detections."""
         t_ref = max(d.timestamp for d in members)
         s = len(self._ids)
         if s == len(self._joint):
@@ -586,7 +585,6 @@ class CrossViewTracker:
         # DLT blocks need no reset, as _hist_n and _obs_t mask them
         self._joint[s, :, :4] = np.nan
         self._joint[s, :, 4:] = 0.0
-        self._vel_ok[s] = False
         self._obs_xy[s] = 0.0
         self._obs_t[s] = -np.inf
         self._obs_conf[s] = 0.0

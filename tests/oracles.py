@@ -397,7 +397,6 @@ class JointState:
     point: np.ndarray | None
     point_time: float
     velocity: np.ndarray
-    velocity_valid: bool
     observations: dict[str, tuple[np.ndarray, float, float]]
     history: list[tuple[float, np.ndarray]]
 
@@ -418,8 +417,7 @@ def joint_state(tr, target, k: int) -> JointState:
     n = min(int(tr._hist_n[s, k]), tr._hist.shape[2])
     hist = sorted(((float(tr._hist[s, k, i, 3]), tr._hist[s, k, i, :3].copy())
                    for i in range(n)), key=lambda p: p[0])
-    return JointState(point, float(j[3]), j[4:].copy(), bool(tr._vel_ok[s, k]),
-                      obs, hist)
+    return JointState(point, float(j[3]), j[4:].copy(), obs, hist)
 
 
 def affinity_2d(prev_xy, prev_t: float, det_xy, det_t: float, cfg) -> float:
@@ -443,17 +441,15 @@ def affinity_2d(prev_xy, prev_t: float, det_xy, det_t: float, cfg) -> float:
 def affinity_3d(joint, det_xy, det_t: float, cam: CameraView, cfg) -> float:
     """Ray-distance affinity between a predicted 3D joint and a detection.
 
-    The joint is advanced along its linear velocity to det_t, then compared
-    to the detection's back-projection ray. Gaps within the clock tolerance
-    count as simultaneous.
+    The joint is advanced along its linear velocity, zero when not valid,
+    to det_t, then compared to the detection's back-projection ray. Gaps
+    within the clock tolerance count as simultaneous.
     """
     if joint.point is None:
         raise NoState("joint has no 3D point")
     dt = det_t - joint.point_time
     dt = max(dt, 0.0)
-    X = np.asarray(joint.point, dtype=float)
-    if joint.velocity_valid:
-        X = X + np.asarray(joint.velocity, dtype=float) * dt
+    X = np.asarray(joint.point, dtype=float) + np.asarray(joint.velocity, dtype=float) * dt
     ray = back_project(cam, det_xy)
     d = point_to_ray_distance(X, ray)
     return cfg.w3d * (1.0 - d / cfg.alpha3d) * np.exp(-cfg.lambda_a * dt)
@@ -484,9 +480,10 @@ def body_affinity(state, det, cam: CameraView, cfg) -> float:
     state(k) gives joint k's JointState (or an object with its fields).
     Joints below min_joint_confidence contribute nothing, as do joints with
     no prior 2D observation in this camera (2D term) or no 3D state (3D term).
-    A brand-new target with no usable joints scores exactly 0.
+    A pair where no usable joint has a term is impossible and scores -inf.
     """
     total = 0.0
+    terms = 0
     joints = det.joints
     confs = det.confidences
     for k in range(len(joints)):
@@ -496,9 +493,11 @@ def body_affinity(state, det, cam: CameraView, cfg) -> float:
         prev = js.observations.get(det.camera_id)
         if prev is not None:
             total += affinity_2d(prev[0], prev[2], joints[k], det.timestamp, cfg)
+            terms += 1
         if js.point is not None:
             total += affinity_3d(js, joints[k], det.timestamp, cam, cfg)
-    return total
+            terms += 1
+    return total if terms else float("-inf")
 
 
 def epipolar_affinity(d1, d2, F: np.ndarray, cfg) -> float:

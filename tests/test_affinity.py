@@ -22,12 +22,10 @@ IDENTITY_P = np.hstack([np.eye(3), np.zeros((3, 1))])
 
 
 class FakeJoint:
-    def __init__(self, point=None, point_time=0.0, velocity=(0, 0, 0), velocity_valid=False,
-                 observations=None):
+    def __init__(self, point=None, point_time=0.0, velocity=(0, 0, 0), observations=None):
         self.point = None if point is None else np.asarray(point, float)
         self.point_time = point_time
         self.velocity = np.asarray(velocity, float)
-        self.velocity_valid = velocity_valid
         self.observations = observations or {}
 
 
@@ -79,7 +77,7 @@ def test_affinity_3d_uses_velocity_prediction():
     cam = CameraView.from_projection("c", IDENTITY_P, (640, 480))
     # moving joint lands exactly on the ray at detection time
     joint = FakeJoint(point=(-0.5, 0.0, 2.0), point_time=0.0,
-                      velocity=(1.0, 0.0, 0.0), velocity_valid=True)
+                      velocity=(1.0, 0.0, 0.0))
     got = affinity_3d(joint, (0.0, 0.0), 0.5, cam, CFG)
     want = CFG.w3d * np.exp(-CFG.lambda_a * 0.5)
     assert abs(got - want) < 1e-12
@@ -126,12 +124,12 @@ def test_estimate_velocity_noisy_bound():
         assert abs(v[0] - 0.5) < 0.03
 
 
-def test_body_affinity_sums_terms_and_defaults_to_zero():
+def test_body_affinity_sums_terms_and_is_impossible_without_one():
     cam = CameraView.from_projection("c", IDENTITY_P, (640, 480))
     joints = [FakeJoint() for _ in range(3)]
     det = FakeDet("c", 0.1, [[0.0, 0.0]] * 3)
-    # no observations, no 3D state: exactly zero
-    assert body_affinity(joints.__getitem__, det, cam, CFG) == 0.0
+    # no observations, no 3D state: nothing ties the detection to the target
+    assert body_affinity(joints.__getitem__, det, cam, CFG) == float("-inf")
 
     joints[0] = FakeJoint(point=(0.075, 0.0, 2.0), point_time=-0.1,
                           observations={"c": (np.array([3.0, 0.0]), 1.0, 0.0)})
@@ -143,9 +141,14 @@ def test_body_affinity_sums_terms_and_defaults_to_zero():
 
 def test_body_affinity_skips_low_confidence_joints():
     cam = CameraView.from_projection("c", IDENTITY_P, (640, 480))
-    joints = [FakeJoint(point=(0.0, 0.0, 2.0), point_time=0.0)]
-    det = FakeDet("c", 0.1, [[0.0, 0.0]], confidences=[0.05])
-    assert body_affinity(joints.__getitem__, det, cam, CFG) == 0.0
+    joints = [FakeJoint(point=(0.0, 0.0, 2.0), point_time=0.0),
+              FakeJoint(point=(0.075, 0.0, 2.0), point_time=0.0)]
+    det = FakeDet("c", 0.1, [[0.0, 0.0]] * 2, confidences=[0.05, 1.0])
+    want = affinity_3d(joints[1], (0.0, 0.0), 0.1, cam, CFG)
+    assert body_affinity(joints.__getitem__, det, cam, CFG) == want
+    # with every joint below the bar no term is left
+    det = FakeDet("c", 0.1, [[0.0, 0.0]] * 2, confidences=[0.05, 0.05])
+    assert body_affinity(joints.__getitem__, det, cam, CFG) == float("-inf")
 
 
 def test_epipolar_affinity_perfect_correspondence():

@@ -249,7 +249,8 @@ def test_joint_count_change_rejected():
         tr.step(FrameBatch(frames[1].camera_id, frames[1].timestamp, [bad]))
 
 
-@pytest.mark.parametrize("case", ["joint-count", "mixed-joint-counts", "one-confidence"])
+@pytest.mark.parametrize("case", ["joint-count", "mixed-joint-counts", "one-confidence",
+                                  "inf-time", "nan-time", "other-camera", "other-time"])
 def test_a_frame_that_raises_leaves_the_tracker_unchanged(case):
     cams, frames, _ = static_scene(n_cameras=3)
     first, rest = frames[0], frames[1:]
@@ -259,11 +260,16 @@ def test_a_frame_that_raises_leaves_the_tracker_unchanged(case):
     # reject that frame
     t = next(f.timestamp for f in rest if f.camera_id == cid) + 0.5
     short = Detection(cid, t, np.zeros((K - 1, 2)), np.ones(K - 1), 1)
-    bad = FrameBatch(cid, t, {
-        "joint-count": [short],
-        "mixed-joint-counts": [Detection(cid, t, det.joints, det.confidences), short],
+    bad = FrameBatch(cid, *{
+        "joint-count": (t, [short]),
+        "mixed-joint-counts": (t, [Detection(cid, t, det.joints, det.confidences), short]),
         # one confidence would broadcast over all K joints
-        "one-confidence": [Detection(cid, t, det.joints, det.confidences[:1])]}[case])
+        "one-confidence": (t, [Detection(cid, t, det.joints, det.confidences[:1])]),
+        "inf-time": (np.inf, [Detection(cid, np.inf, det.joints, det.confidences)]),
+        "nan-time": (np.nan, [Detection(cid, np.nan, det.joints, det.confidences)]),
+        # a detection must carry its frame's camera and time
+        "other-camera": (t, [Detection(cams[1].id, t, det.joints, det.confidences)]),
+        "other-time": (t, [Detection(cid, t - 0.1, det.joints, det.confidences)])}[case])
 
     def after_bad_frame():
         tr = CrossViewTracker(cams)
@@ -283,6 +289,37 @@ def test_a_frame_that_raises_leaves_the_tracker_unchanged(case):
         assert [(p.id, p.joints.tobytes()) for p in out.poses] \
             == [(p.id, p.joints.tobytes()) for p in want.poses]
     assert tr.finish() == ref.finish()
+
+
+@pytest.mark.parametrize("blank", ["low-confidence", "no-joints"])
+def test_a_detection_without_a_usable_joint_never_matches(blank):
+    cams, frames, _ = static_scene(n_people=1, n_cameras=4, duration=1.0)
+    tr = CrossViewTracker(cams)
+    frames = iter(frames)
+    while not tr.targets:
+        tr.step(next(frames))
+    (tg,), t0 = tr.targets, tr.targets[0].last_matched
+    built_by = tr._built_by[tg.slot].copy()
+    assert built_by.any() and not built_by.all()  # unconfirmed
+    # a camera that did not build the target sees a detection that nothing
+    # ties to it: no joint above min_joint_confidence, or no joint at all
+    cid = tr._cam_ids[int(np.flatnonzero(~built_by)[0])]
+    det = next(d for f in frames if f.camera_id == cid for d in f.detections)
+    joints, conf = {"low-confidence": (det.joints, np.full(tr.K, 0.05)),
+                    "no-joints": (np.full((tr.K, 2), np.nan), np.ones(tr.K))}[blank]
+    records = []
+    # the target goes stale past retire_after by the second frame
+    for t, retired in [(t0 + 0.5, []), (t0 + 1.1, [tg.id])]:
+        out = tr.step(FrameBatch(cid, t, [Detection(cid, t, joints, conf)]))
+        records.extend(out.assignments)
+        assert out.retired == retired
+        if not retired:
+            (kept,) = tr.targets
+            assert kept.last_matched == t0
+            assert (tr._built_by[kept.slot] == built_by).all()
+    records.extend(tr.finish())
+    assert tr.targets == []
+    assert [r.target_id for r in records if r.camera_id == cid] == [None, None]
 
 
 def test_poses_cover_all_live_targets_every_step():
@@ -405,7 +442,6 @@ def frozen_state(js):
     answers compare equal only when they are bit for bit the same."""
     return (None if js.point is None else js.point.tobytes(),
             np.float64(js.point_time).tobytes(), js.velocity.tobytes(),
-            js.velocity_valid,
             {c: (xy.tobytes(), conf, t) for c, (xy, conf, t) in js.observations.items()},
             [(t, p.tobytes()) for t, p in js.history])
 
@@ -500,8 +536,19 @@ def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
         counts["partition"] += 1
         return partition_cycle_consistent(a, max_exact)
 
+    def checked_cluster_pool(a, P, xy, vis, cfg):
+        # the pool's rows as clustered are those of a fresh stack of the pool
+        dets = [d for ds in tr.pool.values() for d in ds]
+        want_xy, _, want_vis = stack_detections(dets, cfg.min_joint_confidence)
+        assert all(r.tobytes() == k.tobytes() and r.shape == k.shape
+                   and r.dtype == k.dtype for r, k in [(xy, want_xy), (vis, want_vis)])
+        assert (P == [tr.cameras[d.camera_id].P for d in dets]).all()
+        counts["cluster"] += 1
+        return cluster_pool(a, P, xy, vis, cfg)
+
     monkeypatch.setattr(tracker_mod, "epipolar_affinity_matrix", checked_epipolar)
     monkeypatch.setattr(tracker_mod, "partition_cycle_consistent", checked_partition)
+    monkeypatch.setattr(tracker_mod, "cluster_pool", checked_cluster_pool)
     for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=2):
         kept, recomputed = tr._pool_a is not None, counts["recompute"]
         tr.step(f)
@@ -509,14 +556,9 @@ def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
             # a matrix kept across the step without a recompute was cut
             counts["reuse"] += kept and counts["recompute"] == recomputed
             assert (tr._pool_a == fresh_matrix()).all()
-        dets = [d for ds in tr.pool.values() for d in ds]
-        if dets:
-            rows = stack_detections(dets, tr.cfg.min_joint_confidence)
-            assert all(r.tobytes() == k.tobytes() and r.shape == k.shape
-                       and r.dtype == k.dtype for r, k in zip(rows, tr._pool_rows))
-            assert (tr._pool_rows[3] == [tr.cameras[d.camera_id].P for d in dets]).all()
     assert counts["reuse"] >= 1 and counts["recompute"] >= 1
     assert counts["partition"] >= 1 and counts["-inf"] >= 1
+    assert counts["cluster"] >= counts["partition"]
 
 
 @pytest.mark.parametrize("weighted, min_views_init", [(True, 2), (False, 2), (True, 3)])
@@ -773,19 +815,22 @@ def test_velocity_matches_history_regression_reference():
     spec = ScenarioSpec(n_people=2, n_cameras=4, duration=2.0, seed=17)
     cams, frames, _ = generate(spec)
     tr = CrossViewTracker(cams)
+    checked = Counter()
+    # at every step, so that the joints of new targets, whose history is
+    # too short for a velocity, are checked too
     for f in frames:
         tr.step(f)
-    checked = 0
-    for tg in tr.targets:
-        for k in range(tr.K):
-            js = joint_state(tr, tg, k)
-            if not js.history:
-                continue
-            v_ref, ok_ref = estimate_velocity(js.history, tr.cfg)
-            assert bool(js.velocity_valid) == ok_ref
-            assert np.allclose(js.velocity, v_ref, atol=1e-9)
-            checked += 1
-    assert checked >= 20
+        for tg in tr.targets:
+            for k in range(tr.K):
+                js = joint_state(tr, tg, k)
+                if not js.history:
+                    continue
+                v_ref, ok_ref = estimate_velocity(js.history, tr.cfg)
+                assert np.allclose(js.velocity, v_ref, atol=1e-9)
+                # an invalid velocity is stored as exactly zero
+                assert ok_ref or (js.velocity == 0).all()
+                checked[ok_ref] += 1
+    assert checked[True] >= 1000 and checked[False] >= 20, checked
 
 
 def test_unweighted_mode_matches_plain_reference():
