@@ -3,6 +3,22 @@
 Every stream is one JSON object per line. Timestamps travel as decimal
 strings with nine fractional digits so values survive write/read/write
 byte-identically; floats elsewhere rely on the shortest round-trip repr.
+
+Detection lines and track and assignment records go through orjson, and
+come out byte for byte as through the stdlib json module, which reads and
+writes everything else. parse_frame_line decodes with orjson. It decodes
+again with json a line that orjson rejects (NaN, a number past the float
+range, a lone surrogate) and a line whose frame raises ParseError, since
+orjson reads an integer past 64 bits as a float, which the message would
+quote. dumps lets orjson write a record only when its builder has checked
+that orjson prints it as json does:
+- every float is 0, or finite with a magnitude in [1e-4, 1e16), where both
+  print the shortest repr; orjson writes 1e-05 as 0.00001, 1e+16 as 1e16
+  and NaN as null;
+- every string is ASCII without DEL, which json escapes and orjson does
+  not;
+- every integer fits in 64 bits; past that orjson raises, and json writes
+  the record.
 """
 
 from __future__ import annotations
@@ -12,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .affinity import TrackerConfig
 from .geometry import CameraView
@@ -32,8 +49,36 @@ def fmt_ts(t: float) -> str:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+class _Plain(dict):
+    """A record whose builder checked that orjson writes it as _ENCODER
+    does (see the module docstring)."""
+
+
+def _plain_str(s) -> bool:
+    return isinstance(s, str) and s.isascii() and "\x7f" not in s
+
+
+def _plain_floats(a: np.ndarray) -> bool:
+    """Whether orjson prints each of the finite values `a` as repr does."""
+    if not a.size:
+        return True
+    a = np.abs(a)
+    return bool(a.max() < 1e16 and (a.min() >= 1e-4 or ((a >= 1e-4) | (a == 0)).all()))
+
+
 def dumps(obj) -> str:
+    if type(obj) is _Plain:
+        try:
+            return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode()
+        except orjson.JSONEncodeError:  # an integer past 64 bits
+            pass
     return _ENCODER.encode(obj)
+
+
+def _object(obj, path: str, lineno: int) -> dict:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
+    return obj
 
 
 def _loads(line: str, path: str, lineno: int) -> dict:
@@ -41,9 +86,7 @@ def _loads(line: str, path: str, lineno: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{lineno}: invalid record: {e}") from None
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
-    return obj
+    return _object(obj, path, lineno)
 
 
 def _field(obj: dict, key: str, path: str, lineno: int):
@@ -159,8 +202,19 @@ def parse_frame_line(line: str, path: str, lineno: int,
     The values of all detections go into one flat list, which becomes one
     (M, K, 3) array of [x, y, confidence] rows; each Detection holds views
     of its rows. A joint that is null or has a non-finite x or y is a NaN
-    row with confidence 0."""
-    obj = _loads(line, path, lineno)
+    row with confidence 0.
+
+    Where orjson accepts a line, every number it holds passes through
+    float() and comes out as from json, so only a line that orjson rejects
+    or that raises ParseError is decoded again with json."""
+    try:
+        return _frame(_object(orjson.loads(line), path, lineno), path, lineno,
+                      n_joints)
+    except (orjson.JSONDecodeError, ParseError):
+        return _frame(_loads(line, path, lineno), path, lineno, n_joints)
+
+
+def _frame(obj: dict, path: str, lineno: int, n_joints: int | None) -> FrameBatch:
     cid = _camera_id(obj, path, lineno)
     t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
     raw_dets = _field(obj, "detections", path, lineno)
@@ -254,15 +308,23 @@ def track_record(step: StepResult) -> dict:
     or None, each joint time a timestamp string or None.
 
     The poses' joints and joint times are checked for finiteness and turned
-    into Python values in one pass each."""
+    into Python values in one pass each. Each distinct joint time is
+    formatted once; the times are keyed by their bits, as -0.0 and 0.0 are
+    equal keys that print differently."""
     poses = sorted(step.poses, key=lambda p: p.id)
     targets = []
+    plain = all(isinstance(p.id, int) for p in poses)
     if poses:
         xyz = np.concatenate([p.joints for p in poses], dtype=float)
         jt = np.concatenate([p.joint_times for p in poses], dtype=float)
-        joints = _finite_rows(xyz, np.isfinite(xyz).all(axis=1))
-        times = [fmt_ts(t) if ok else None
-                 for t, ok in zip(jt.tolist(), np.isfinite(jt).tolist())]
+        finite = np.isfinite(xyz).all(axis=1)
+        joints = _finite_rows(xyz, finite)
+        plain = plain and _plain_floats(xyz[finite])
+        bits = jt.view(np.int64).tolist()
+        isfinite = math.isfinite
+        text = {b: fmt_ts(t) if isfinite(t) else None
+                for b, t in dict(zip(bits, jt.tolist())).items()}
+        times = list(map(text.__getitem__, bits))
         a = b = 0
         for p in poses:
             n, m = len(p.joints), len(p.joint_times)
@@ -270,7 +332,8 @@ def track_record(step: StepResult) -> dict:
                             "joint_times": times[b:b + m]})
             a += n
             b += m
-    return {"timestamp": fmt_ts(step.timestamp), "targets": targets}
+    return (_Plain if plain else dict)(timestamp=fmt_ts(step.timestamp),
+                                       targets=targets)
 
 
 def load_tracks(path: str) -> list[TrackRow]:
@@ -376,8 +439,11 @@ def load_truth(path: str) -> GroundTruth:
 # -------------------------------------------------------------- assignments
 
 def assignment_record(r: AssignmentRecord) -> dict:
-    return {"camera_id": r.camera_id, "timestamp": fmt_ts(r.timestamp),
-            "index": r.index, "target": r.target_id}
+    plain = (_plain_str(r.camera_id) and isinstance(r.index, int)
+             and (r.target_id is None or isinstance(r.target_id, int)))
+    return (_Plain if plain else dict)(camera_id=r.camera_id,
+                                       timestamp=fmt_ts(r.timestamp),
+                                       index=r.index, target=r.target_id)
 
 
 def load_assignments(path: str) -> list[AssignmentRecord]:

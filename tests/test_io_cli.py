@@ -12,6 +12,7 @@ import sys
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 import oracles
@@ -21,7 +22,8 @@ from posefuse.affinity import TrackerConfig
 from posefuse.cli import main
 from posefuse.geometry import CameraView, RankDeficientP
 from posefuse.simulator import N_JOINTS, InvalidSpec, ScenarioSpec, generate
-from posefuse.tracker import CrossViewTracker, FrameBatch, StepResult, TargetPose
+from posefuse.tracker import AssignmentRecord, CrossViewTracker, FrameBatch, StepResult, \
+    TargetPose
 
 
 def scene(**kw):
@@ -321,17 +323,202 @@ def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines():
             assert got == want
             continue
         parsed += 1
-        assert isinstance(got, FrameBatch)
-        assert (got.camera_id, got.timestamp) == (want.camera_id, want.timestamp)
-        assert len(got.detections) == len(want.detections)
-        for d, w in zip(got.detections, want.detections):
-            assert (d.camera_id, d.timestamp, d.index) == (w.camera_id, w.timestamp,
-                                                          w.index)
-            assert d.joints.shape == w.joints.shape
-            assert d.confidences.shape == w.confidences.shape
-            assert d.joints.tobytes() == w.joints.tobytes()
-            assert d.confidences.tobytes() == w.confidences.tobytes()
+        assert_same_frame(got, want)
     assert parsed > 2000 and failed > 200
+
+
+def assert_same_frame(got, want):
+    assert isinstance(got, FrameBatch)
+    assert (got.camera_id, got.timestamp) == (want.camera_id, want.timestamp)
+    assert len(got.detections) == len(want.detections)
+    for d, w in zip(got.detections, want.detections):
+        assert (d.camera_id, d.timestamp, d.index) == (w.camera_id, w.timestamp,
+                                                      w.index)
+        assert d.joints.shape == w.joints.shape
+        assert d.confidences.shape == w.confidences.shape
+        assert d.joints.tobytes() == w.joints.tobytes()
+        assert d.confidences.tobytes() == w.confidences.tobytes()
+
+
+def random_doubles(rng, n, lo, hi):
+    """n doubles of random sign, magnitudes log-uniform in [lo, hi)."""
+    mag = np.clip(10.0 ** rng.uniform(np.log10(lo), np.log10(hi), n),
+                  lo, np.nextafter(hi, 0.0))
+    return np.where(rng.random(n) < 0.5, -mag, mag)
+
+
+def test_orjson_prints_doubles_in_its_plain_range_as_repr():
+    # dumps lets orjson write a record only when each of its floats is 0 or
+    # has a magnitude in [1e-4, 1e16); an orjson that prints one of them
+    # otherwise must fail here
+    rng = np.random.default_rng(13)
+    edges = [0.0, -0.0, 1e-4, -1e-4, float(np.nextafter(1e-4, 1.0)),
+             float(np.nextafter(1e16, 0.0)), 1.0, 0.1, 1.0 / 3.0, 2.0 ** 53, 2.0 ** 53 + 2.0, 123456789.125, 1e15]
+    vals = edges + random_doubles(rng, 200_000, 1e-4, 1e16).tolist() \
+        + (rng.integers(-2 ** 53, 2 ** 53, 20_000) * 1.0).tolist()
+    got = orjson.dumps(vals).decode()[1:-1].split(",")
+    assert len(got) == len(vals)
+    assert [(v, g) for v, g in zip(vals, got) if g != repr(v)][:5] == []
+
+
+STDLIB_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# integers orjson writes, and integers past 64 bits that it refuses
+INTS_64 = [0, -1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, -2 ** 63]
+INTS_PAST_64 = [2 ** 64, 2 ** 64 + 1, -2 ** 63 - 1, 10 ** 25]
+# camera ids orjson writes as json does (control characters, quotes and
+# backslashes escaped alike), and ids it writes otherwise
+PLAIN_CAMERA_IDS = ["cam00", 'c"a\\m/', "tab\tnl\n\x01\x1f", " ~", ""]
+ODD_CAMERA_IDS = ["cam\u00e9", "\u6444\u50cf", "del\x7f", "\ud800"]
+ODD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-6,
+              float(np.nextafter(1e-4, 0.0)), 1e-4, 1e16, -1e16,
+              float(np.nextafter(1e16, 0.0)), 1e300, 1.7976931348623157e308,
+              math.nan, math.inf, -math.inf]
+# finite, nonzero and outside [1e-4, 1e16): most print otherwise in orjson
+NEAR_FLOATS = [float(np.nextafter(1e-4, 0.0)), 1e-5, -1e-6, 1e-7, 3.5e-9, 2.5e-8,
+               1e-10, 5e-324, 1e16, -3e16, 1e17, 1e22, 1e300]
+
+
+def random_track_step(rng, kind):
+    """A StepResult whose track record orjson may write ("plain"), one with
+    a single value just outside what it may write ("near"), or one that
+    draws from every kind of value ("any")."""
+    poses = []
+    for _ in range(rng.integers(1 if kind == "near" else 0, 4)):
+        n = int(rng.integers(1, 6))
+        if kind == "any":
+            xyz = random_doubles(rng, 3 * n, 1e-320, 1e300)
+            odd = rng.random(3 * n) < 0.3
+            xyz[odd] = rng.choice(ODD_FLOATS, int(odd.sum()))
+        else:
+            xyz = random_doubles(rng, 3 * n, 1e-4, 1e16)
+            xyz[rng.random(3 * n) < 0.05] = rng.choice([0.0, -0.0])
+        xyz = xyz.reshape(n, 3)
+        # rows with a non-finite value are written as null
+        gone = np.flatnonzero(rng.random(n) < 0.3)
+        xyz[gone, rng.integers(3, size=len(gone))] = rng.choice(
+            [math.nan, math.inf, -math.inf], len(gone))
+        times = rng.choice([0.0, -0.0, math.nan, 2.5, rng.uniform(-1e3, 1e3)], n)
+        ids = INTS_PAST_64 if kind == "any" and rng.random() < 0.5 else INTS_64
+        tid = int(rng.integers(1000)) if rng.random() < 0.5 else ids[rng.integers(len(ids))]
+        poses.append(TargetPose(tid, xyz, times))
+    if kind == "near":
+        xyz = poses[rng.integers(len(poses))].joints
+        r = rng.integers(len(xyz))
+        xyz[r] = random_doubles(rng, 3, 1e-4, 1e16)
+        xyz[r, rng.integers(3)] = NEAR_FLOATS[rng.integers(len(NEAR_FLOATS))]
+    return StepResult("cam00", float(rng.uniform(0.0, 100.0)), poses, [], [])
+
+
+def random_assignment(rng, plain):
+    if plain:
+        cids, ints = PLAIN_CAMERA_IDS, INTS_64
+    else:
+        cids, ints = PLAIN_CAMERA_IDS + ODD_CAMERA_IDS, INTS_64 + INTS_PAST_64
+    target = None if rng.random() < 0.3 else ints[rng.integers(len(ints))]
+    return AssignmentRecord(cids[rng.integers(len(cids))], float(rng.uniform(0, 100)),
+                            ints[rng.integers(len(ints))], target)
+
+
+class CountingEncoder:
+    """The stdlib encoder, counting the records dumps hands it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def encode(self, obj):
+        self.calls += 1
+        return STDLIB_ENCODER.encode(obj)
+
+
+def test_dumps_writes_track_and_assignment_records_as_the_stdlib_encoder(monkeypatch):
+    encoder = CountingEncoder()
+    monkeypatch.setattr(io_cli, "_ENCODER", encoder)
+    rng = np.random.default_rng(17)
+    fell_back = 0
+    for i in range(5000):
+        kind = ("plain", "near", "any")[i % 3]
+        record = (io_cli.track_record(random_track_step(rng, kind)) if i % 2
+                  else io_cli.assignment_record(random_assignment(rng, kind == "plain")))
+        before = encoder.calls
+        assert io_cli.dumps(record) == STDLIB_ENCODER.encode(record)
+        if kind == "plain":  # took the orjson path
+            assert encoder.calls == before
+        fell_back += encoder.calls - before
+    assert 1500 < fell_back < 3300
+    # the golden line holds 1e+16 and -2.5e-07
+    before = encoder.calls
+    assert io_cli.dumps(io_cli.track_record(GOLDEN_STEP)) == GOLDEN_TRACK_LINE
+    assert encoder.calls == before + 1
+
+
+def stdlib_outcome(line, n_joints):
+    """parse_frame_line's outcome on a line decoded by json alone."""
+    try:
+        return io_cli._frame(io_cli._loads(line, "fuzz.jsonl", 7), "fuzz.jsonl", 7,
+                             n_joints)
+    except io_cli.ParseError as e:
+        return str(e)
+
+
+def crafted_line(joints, t='"0.5"', camera='"cam00"'):
+    return ('{"camera_id": %s, "timestamp": %s, "detections": [{"joints": %s}]}'
+            % (camera, t, joints))
+
+
+BIG = ["18446744073709551616", "-9223372036854775809", "10000000000000000000000000",
+       str(2 ** 1024 - 2 ** 970 - 1), str(2 ** 1024 - 2 ** 970), "1" + "0" * 400]
+CRAFTED_LINES = [
+    crafted_line("[[NaN, 1.0, 0.5], [1.0, 2.0, 0.5]]"),
+    crafted_line("[[1e400, -1e400, 0.5], [2e308, 2.0, 0.5]]"),
+    crafted_line("[[1.0, 2.0, 1e400], [1.0, 2.0, 0.5]]"),
+    crafted_line("[[-0, -0.0, 0], [0, 0.0, -0]]"),
+    crafted_line("[[1.0, 2.0, 0.5], null]", camera='"\\ud800"'),
+    crafted_line("[[1.0, 2.0, 0.5], null]", camera='"cam\\u00e9"'),
+    crafted_line("[[1.0, 2.0, 0.5], null]", t=BIG[2]),
+    crafted_line("[[1.0, 2.0, 0.5], null]", t=BIG[4]),
+    crafted_line("[[1.0, 2.0, 0.5], null]", t="[%s]" % BIG[0]),
+    crafted_line("[[1.0, 2.0, 0.5], null]", camera=BIG[1]),
+    '{"camera_id": "cam00", "timestamp": "0.5", "detections": [%s]}' % BIG[0],
+    '{"camera_id": "cam00", "timestamp": "0.5", "detections": %s}' % BIG[2],
+    BIG[2], "[%s, 1.5]" % BIG[0], '{"camera_id": ', "",
+    *(crafted_line("[[%s, 2.0, 0.5], [1.0, %s, 0.25]]" % (b, b)) for b in BIG),
+    *(crafted_line("[[%s, 2.0, 0.5], [1.0, \"abc\", 0.25]]" % b) for b in BIG),
+    *(crafted_line("[[1.0, 2.0, 0.5], [%s, null, 0.25]]" % b) for b in BIG),
+    *(crafted_line("[[1.0, 2.0, %s], [1.0, 2.0, 0.25]]" % b) for b in BIG),
+    *(crafted_line("[[1.0, 2.0, 0.5]], \"x\": [%s]}, {\"joints\": [[1, 2]]" % b)
+      for b in BIG),
+]
+
+
+def random_double_line(rng):
+    """A well-formed line whose numbers are doubles of every magnitude, or
+    integers up to 2**80."""
+    vals = random_doubles(rng, 24, 1e-320, 1e300).tolist()
+    vals = [int(rng.integers(2 ** 40)) * int(rng.integers(2 ** 40)) if rng.random() < 0.1
+            else v for v in vals]
+    joints = [vals[i:i + 3] for i in range(0, 24, 3)]
+    return json.dumps({"camera_id": "cam01", "timestamp": "%.9f" % rng.uniform(0, 9),
+                       "detections": [{"joints": joints[:4]}, {"joints": joints[4:]}]})
+
+
+def test_parse_frame_line_decodes_as_the_stdlib_path():
+    rng = np.random.default_rng(19)
+    lines = CRAFTED_LINES + [random_double_line(rng) for _ in range(500)] \
+        + [fuzz_frame_line(rng)[0] for _ in range(1500)]
+    by_orjson = 0
+    for line in lines:
+        for n_joints in (None, 2, 4):
+            got = parse_outcome(io_cli.parse_frame_line, line, n_joints)
+            want = stdlib_outcome(line, n_joints)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert_same_frame(got, want)
+            try:
+                by_orjson += isinstance(orjson.loads(line), dict)
+            except orjson.JSONDecodeError:
+                pass
+    assert by_orjson > 3000
 
 
 def test_config_key_value_text():
