@@ -324,9 +324,16 @@ class CrossViewTracker:
         if dets and n_old:
             with np.errstate(all="ignore"):
                 A = self._affinity_core(dxy, dvm, ci, t)
+                thr = self.cfg.match_threshold
                 pairs = hungarian_max(A)
-                accepted, _, unmatched = filter_matches(pairs, A,
-                                                        self.cfg.match_threshold)
+                accepted, _, unmatched = filter_matches(pairs, A, thr)
+                if len(accepted) < len(pairs):
+                    # a pair below the threshold may hold a detection that
+                    # another target accepts; solve again without such pairs.
+                    # When every pair is accepted, the first solve is already
+                    # the best one without them.
+                    pairs = hungarian_max(np.where(A >= thr, A, -np.inf))
+                    accepted, _, unmatched = filter_matches(pairs, A, thr)
                 if accepted:
                     rc = np.array(accepted, dtype=np.intp)
                     self._update_matched(rc[:, 0], rc[:, 1], dxy, dconf, dvm, ci, t)

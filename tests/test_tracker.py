@@ -322,6 +322,24 @@ def test_a_detection_without_a_usable_joint_never_matches(blank):
     assert [r.target_id for r in records if r.camera_id == cid] == [None, None]
 
 
+def test_a_pair_below_the_threshold_never_takes_an_accepted_detection():
+    # matching min(targets, detections) pairs gives [(0, 1), (1, 0)], both
+    # below the threshold 0, so target 0 would lose the detection it accepts
+    cams, frames, _ = static_scene(n_people=2, n_cameras=4, duration=1.0)
+    tr = CrossViewTracker(cams)
+    frames = iter(frames)
+    while len(tr.targets) < 2:
+        tr.step(next(frames))
+    frame = next(f for f in frames if len(f.detections) == 2)
+    tr._affinity_core = lambda *args: np.array([[1.0, -0.3], [-0.5, -np.inf]])
+    out = tr.step(frame)
+    ids = [tg.id for tg in tr.targets]
+    matched = [(r.index, r.target_id) for r in out.assignments
+               if (r.camera_id, r.timestamp) == (frame.camera_id, frame.timestamp)]
+    assert matched == [(frame.detections[0].index, ids[0])]
+    assert [d.index for d in tr.pool[frame.camera_id]] == [frame.detections[1].index]
+
+
 def test_poses_cover_all_live_targets_every_step():
     cams, frames, _ = static_scene(n_people=2, n_cameras=4, duration=1.0)
     tr = CrossViewTracker(cams)
