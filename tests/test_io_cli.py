@@ -353,7 +353,8 @@ def test_orjson_prints_doubles_in_its_plain_range_as_repr():
     # otherwise must fail here
     rng = np.random.default_rng(13)
     edges = [0.0, -0.0, 1e-4, -1e-4, float(np.nextafter(1e-4, 1.0)),
-             float(np.nextafter(1e16, 0.0)), 1.0, 0.1, 1.0 / 3.0, 2.0 ** 53, 2.0 ** 53 + 2.0, 123456789.125, 1e15]
+             float(np.nextafter(1e16, 0.0)), 1.0, 0.1, 1.0 / 3.0, 2.0 ** 53,
+             2.0 ** 53 + 2.0, 123456789.125, 1e15]
     vals = edges + random_doubles(rng, 200_000, 1e-4, 1e16).tolist() \
         + (rng.integers(-2 ** 53, 2 ** 53, 20_000) * 1.0).tolist()
     got = orjson.dumps(vals).decode()[1:-1].split(",")
@@ -399,7 +400,7 @@ def random_track_step(rng, kind):
             [math.nan, math.inf, -math.inf], len(gone))
         times = rng.choice([0.0, -0.0, math.nan, 2.5, rng.uniform(-1e3, 1e3)], n)
         ids = INTS_PAST_64 if kind == "any" and rng.random() < 0.5 else INTS_64
-        tid = int(rng.integers(1000)) if rng.random() < 0.5 else ids[rng.integers(len(ids))]
+        tid = ids[rng.integers(len(ids))] if rng.random() < 0.5 else int(rng.integers(1000))
         poses.append(TargetPose(tid, xyz, times))
     if kind == "near":
         xyz = poses[rng.integers(len(poses))].joints
