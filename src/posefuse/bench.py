@@ -46,28 +46,28 @@ def bench_scene(n_cameras: int, n_people: int, duration: float, seed: int = 0):
     return generate(spec)
 
 
-def _percentiles(times_s: list[float]) -> tuple[float, float, float]:
-    p = np.percentile(np.array(times_s) * 1e3, [50, 90, 99])
-    return float(p[0]), float(p[1]), float(p[2])
+def _timed(variant: str, call, items, n_cam: int, n_people: int,
+           n_frames: float) -> BenchRow:
+    """Times each call(item) alone for the percentiles, and the whole loop."""
+    times = []
+    t0 = time.perf_counter()
+    for item in items:
+        s0 = time.perf_counter()
+        call(item)
+        times.append(time.perf_counter() - s0)
+    elapsed = time.perf_counter() - t0
+    p50, p90, p99 = (np.percentile(np.array(times) * 1e3, [50, 90, 99]).tolist()
+                     if times else (0.0, 0.0, 0.0))
+    return BenchRow(variant, n_cam, n_people, len(items), n_frames, elapsed,
+                    1e3 * elapsed / n_frames if n_frames else 0.0,
+                    n_frames / elapsed if elapsed > 0 else 0.0, p50, p90, p99)
 
 
 def bench_tracker(cams, frames, n_people: int,
                   cfg: TrackerConfig | None = None) -> BenchRow:
     """Per-step latency over a preloaded stream; one frame = every camera once."""
-    tracker = CrossViewTracker(cams, cfg)
-    times = []
-    t0 = time.perf_counter()
-    for f in frames:
-        s0 = time.perf_counter()
-        tracker.step(f)
-        times.append(time.perf_counter() - s0)
-    elapsed = time.perf_counter() - t0
-    n_cam = len(cams)
-    n_frames = len(frames) / n_cam
-    p50, p90, p99 = _percentiles(times)
-    return BenchRow("tracker", n_cam, n_people, len(frames), n_frames, elapsed,
-                    1e3 * elapsed / n_frames if n_frames else 0.0,
-                    n_frames / elapsed if elapsed > 0 else 0.0, p50, p90, p99)
+    return _timed("tracker", CrossViewTracker(cams, cfg).step, frames, len(cams),
+                  n_people, len(frames) / len(cams))
 
 
 def bench_baseline(cams, frames, n_people: int,
@@ -76,15 +76,5 @@ def bench_baseline(cams, frames, n_people: int,
     cfg = cfg or TrackerConfig()
     groups = synchronized_groups(frames)
     ftable = build_fundamental_table(cams)
-    times = []
-    t0 = time.perf_counter()
-    for g in groups:
-        s0 = time.perf_counter()
-        baseline_alg_s1(g, cams, cfg, ftable)
-        times.append(time.perf_counter() - s0)
-    elapsed = time.perf_counter() - t0
-    p50, p90, p99 = _percentiles(times) if times else (0.0, 0.0, 0.0)
-    n_frames = float(len(groups))
-    return BenchRow("baseline", len(cams), n_people, len(groups), n_frames,
-                    elapsed, 1e3 * elapsed / n_frames if n_frames else 0.0,
-                    n_frames / elapsed if elapsed > 0 else 0.0, p50, p90, p99)
+    return _timed("baseline", lambda g: baseline_alg_s1(g, cams, cfg, ftable),
+                  groups, len(cams), n_people, float(len(groups)))

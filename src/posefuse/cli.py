@@ -51,10 +51,7 @@ def cmd_track(args) -> int:
         if args.assignments:
             fassign = stack.enter_context(
                 open(args.assignments, "w", encoding="utf-8"))
-        for lineno, line in enumerate(fin, 1):
-            if not line.strip():
-                continue
-            frame = io_cli.parse_frame_line(line, label, lineno, tracker.K)
+        for frame in io_cli.iter_detections(fin, label):
             out = tracker.step(frame)
             fout.write(io_cli.dumps(io_cli.track_record(out)) + "\n")
             if fassign:

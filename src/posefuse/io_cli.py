@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import orjson
@@ -75,52 +75,61 @@ def dumps(obj) -> str:
     return _ENCODER.encode(obj)
 
 
-def _object(obj, path: str, lineno: int) -> dict:
+def _object(obj) -> dict:
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
+        raise ParseError(f"expected an object, got {type(obj).__name__}")
     return obj
 
 
-def _loads(line: str, path: str, lineno: int) -> dict:
+def _loads(line: str) -> dict:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{lineno}: invalid record: {e}") from None
-    return _object(obj, path, lineno)
+        raise ParseError(f"invalid record: {e}") from None
+    return _object(obj)
 
 
-def _field(obj: dict, key: str, path: str, lineno: int):
+def _field(obj: dict, key: str):
     if key not in obj:
-        raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+        raise ParseError(f"missing field {key!r}")
     return obj[key]
 
 
-def _camera_id(obj: dict, path: str, lineno: int) -> str:
-    cid = _field(obj, "camera_id", path, lineno)
-    if not isinstance(cid, str):
-        raise ParseError(f"{path}:{lineno}: field 'camera_id' must be a string")
-    return cid
+def _str_field(obj: dict, key: str) -> str:
+    v = _field(obj, key)
+    if not isinstance(v, str):
+        raise ParseError(f"field {key!r} must be a string")
+    return v
 
 
-def _parse_ts(raw, path: str, lineno: int, key: str = "timestamp") -> float:
+def _parse_ts(raw, key: str = "timestamp") -> float:
     try:
         t = float(raw)
     except (TypeError, ValueError, OverflowError):
         t = math.nan
-    if not math.isfinite(t):
-        raise ParseError(f"{path}:{lineno}: field {key!r}: bad timestamp {raw!r}")
+    if not math.isfinite(t) or isinstance(raw, bool):
+        raise ParseError(f"field {key!r}: bad timestamp {raw!r}")
     return t
 
 
-def _parse_int(raw, path: str, lineno: int, what: str) -> int:
+def _parse_int(raw, what: str) -> int:
+    """A JSON integer: not a bool, a float or a string."""
+    if type(raw) is not int:
+        raise ParseError(f"{what}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _person_id(key: str) -> int:
+    """A `people` key: an integer's canonical decimal string, so that no
+    two keys name one person."""
     try:
-        return int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}:{lineno}: {what}: expected an integer, "
-                         f"got {raw!r}") from None
+        pid = int(key)
+    except ValueError:
+        pid = key
+    return _parse_int(pid if str(pid) == key else key, "person id")
 
 
-def _parse_points(raw, path: str, lineno: int, what: str) -> np.ndarray:
+def _parse_points(raw, what: str) -> np.ndarray:
     """A list of [X, Y, Z] number rows as an (n, 3) float array."""
     try:
         if isinstance(raw, list) and all(isinstance(r, list) and len(r) == 3
@@ -128,14 +137,30 @@ def _parse_points(raw, path: str, lineno: int, what: str) -> np.ndarray:
             return np.array([[float(x) for x in r] for r in raw]).reshape(-1, 3)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ParseError(f"{path}:{lineno}: {what}: expected a list of [X, Y, Z] rows")
+    raise ParseError(f"{what}: expected a list of [X, Y, Z] rows")
 
 
-def _check_joint_count(n: int, path: str, lineno: int, what: str) -> None:
+def _check_joint_count(n: int, what: str) -> None:
     # evaluation indexes the simulator's skeleton joints
     if n != N_JOINTS:
-        raise ParseError(f"{path}:{lineno}: {what}: has {n} joints, "
-                         f"expected {N_JOINTS}")
+        raise ParseError(f"{what}: has {n} joints, expected {N_JOINTS}")
+
+
+def _at(path: str, lineno: int, what) -> ParseError:
+    """The error `what` (a message or a ParseError), naming the line first."""
+    return ParseError(f"{path}:{lineno}: {what}")
+
+
+def _records(path: str, decode):
+    """decode(obj) for the JSON object on each non-blank line of path."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    record = decode(_loads(line))
+                except ParseError as e:
+                    raise _at(path, lineno, e) from None
+                yield record
 
 
 # ---------------------------------------------------------------- calibration
@@ -143,38 +168,33 @@ def _check_joint_count(n: int, path: str, lineno: int, what: str) -> None:
 def load_calibration(path: str) -> list[CameraView]:
     """Read one camera per line: {id, P: 12 row-major numbers, image_size}.
     A file with no camera is a ParseError."""
-    cams: list[CameraView] = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            obj = _loads(line, path, lineno)
-            cid = _field(obj, "id", path, lineno)
-            if not isinstance(cid, str):
-                raise ParseError(f"{path}:{lineno}: field 'id' must be a string")
-            if cid in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate camera id {cid!r}")
-            seen.add(cid)
-            P = _field(obj, "P", path, lineno)
-            if not isinstance(P, list) or len(P) != 12:
-                raise ParseError(f"{path}:{lineno}: field 'P' must hold 12 numbers")
-            if not all(type(v) in (int, float) for v in P):
-                raise ParseError(f"{path}:{lineno}: field 'P' must hold JSON numbers, "
-                                 f"got {P!r}")
-            try:
-                P_arr = np.array(P, dtype=float)
-                finite = np.isfinite(P_arr).all()
-            except OverflowError:  # an integer past float range
-                finite = False
-            if not finite:
-                raise ParseError(f"{path}:{lineno}: field 'P' must hold finite numbers")
-            size = _field(obj, "image_size", path, lineno)
-            if not (isinstance(size, list) and len(size) == 2
-                    and all(type(v) is int and v > 0 for v in size)):
-                raise ParseError(f"{path}:{lineno}: field 'image_size' must be two "
-                                 f"positive integers [w, h], got {size!r}")
-            cams.append(CameraView.from_projection(cid, P_arr, tuple(size)))
+
+    def camera(obj: dict) -> CameraView:
+        cid = _str_field(obj, "id")
+        if cid in seen:
+            raise ParseError(f"duplicate camera id {cid!r}")
+        seen.add(cid)
+        P = _field(obj, "P")
+        if not isinstance(P, list) or len(P) != 12:
+            raise ParseError("field 'P' must hold 12 numbers")
+        if not all(type(v) in (int, float) for v in P):
+            raise ParseError(f"field 'P' must hold JSON numbers, got {P!r}")
+        try:
+            P_arr = np.array(P, dtype=float)
+            finite = np.isfinite(P_arr).all()
+        except OverflowError:  # an integer past float range
+            finite = False
+        if not finite:
+            raise ParseError("field 'P' must hold finite numbers")
+        size = _field(obj, "image_size")
+        if not (isinstance(size, list) and len(size) == 2
+                and all(type(v) is int and v > 0 for v in size)):
+            raise ParseError(f"field 'image_size' must be two positive integers "
+                             f"[w, h], got {size!r}")
+        return CameraView.from_projection(cid, P_arr, tuple(size))
+
+    cams = list(_records(path, camera))
     if not cams:
         raise ParseError(f"{path}: no cameras")
     return cams
@@ -208,70 +228,72 @@ def parse_frame_line(line: str, path: str, lineno: int,
     float() and comes out as from json, so only a line that orjson rejects
     or that raises ParseError is decoded again with json."""
     try:
-        return _frame(_object(orjson.loads(line), path, lineno), path, lineno,
-                      n_joints)
-    except (orjson.JSONDecodeError, ParseError):
-        return _frame(_loads(line, path, lineno), path, lineno, n_joints)
+        try:
+            return _frame(_object(orjson.loads(line)), n_joints)
+        except (orjson.JSONDecodeError, ParseError):
+            return _frame(_loads(line), n_joints)
+    except ParseError as e:
+        raise _at(path, lineno, e) from None
 
 
-def _frame(obj: dict, path: str, lineno: int, n_joints: int | None) -> FrameBatch:
-    cid = _camera_id(obj, path, lineno)
-    t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
-    raw_dets = _field(obj, "detections", path, lineno)
+def _frame(obj: dict, n_joints: int | None) -> FrameBatch:
+    cid = _str_field(obj, "camera_id")
+    t = _parse_ts(_field(obj, "timestamp"))
+    raw_dets = _field(obj, "detections")
     if not isinstance(raw_dets, list):
-        raise ParseError(f"{path}:{lineno}: field 'detections' must be a list")
+        raise ParseError("field 'detections' must be a list")
     if not raw_dets:
         return FrameBatch(cid, t, [])
     isfinite = math.isfinite
     flat: list[float] = []
     for i, rd in enumerate(raw_dets):
         if not isinstance(rd, dict) or "joints" not in rd:
-            raise ParseError(f"{path}:{lineno}: detection {i} must carry 'joints'")
+            raise ParseError(f"detection {i} must carry 'joints'")
         joints = rd["joints"]
         if not isinstance(joints, list) or not joints:
-            raise ParseError(f"{path}:{lineno}: detection {i}: 'joints' must be a "
-                             "non-empty list")
+            raise ParseError(f"detection {i}: 'joints' must be a non-empty list")
         k = len(joints)
         if n_joints is None:
             n_joints = k
         elif k != n_joints:
-            raise ParseError(f"{path}:{lineno}: detection {i}: field 'joints' has "
-                             f"{k} entries, expected {n_joints}")
+            raise ParseError(f"detection {i}: field 'joints' has {k} entries, "
+                             f"expected {n_joints}")
         for j, entry in enumerate(joints):
             if entry is None:
                 flat += _MISSING_JOINT
                 continue
             if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
-                                 "expected [x, y, confidence] or null")
+                raise ParseError(f"detection {i} joint {j}: expected [x, y, "
+                                 "confidence] or null")
             try:
                 x, y, c = float(entry[0]), float(entry[1]), float(entry[2])
             except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
-                                 f"expected numbers, got {entry!r}") from None
+                raise ParseError(f"detection {i} joint {j}: expected numbers, "
+                                 f"got {entry!r}") from None
             if not isfinite(c):
-                raise ParseError(f"{path}:{lineno}: detection {i} joint {j}: "
-                                 f"confidence {entry[2]!r} is not finite")
+                raise ParseError(f"detection {i} joint {j}: confidence "
+                                 f"{entry[2]!r} is not finite")
             flat += (x, y, c) if isfinite(x) and isfinite(y) else _MISSING_JOINT
     rows = np.array(flat).reshape(len(raw_dets), n_joints, 3)
     return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
                                for i, r in enumerate(rows)])
 
 
-def iter_detections(path: str):
-    """Stream FrameBatch records without holding the file in memory."""
+def iter_detections(f, path: str):
+    """Stream the frames of the open detection file f, named `path` in errors;
+    every detection must list as many joints as the stream's first one."""
     n_joints = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if line.strip():
-                frame = parse_frame_line(line, path, lineno, n_joints)
-                if frame.detections:
-                    n_joints = frame.detections[0].joints.shape[0]
-                yield frame
+    for lineno, line in enumerate(f, 1):
+        if line.strip():
+            frame = parse_frame_line(line, path, lineno, n_joints)
+            if n_joints is None and frame.detections:
+                n_joints = frame.detections[0].joints.shape[0]
+            yield frame
 
 
 def load_detections(path: str) -> list[FrameBatch]:
-    return list(iter_detections(path))
+    with open(path, encoding="utf-8") as f:
+        return list(iter_detections(f, path))
 
 
 def _finite_rows(values: np.ndarray, finite: np.ndarray) -> list:
@@ -336,54 +358,49 @@ def track_record(step: StepResult) -> dict:
                                        targets=targets)
 
 
+def _track_row(obj: dict) -> TrackRow:
+    t = _parse_ts(_field(obj, "timestamp"))
+    targets, times = {}, {}
+    raw_targets = _field(obj, "targets")
+    if not isinstance(raw_targets, list):
+        raise ParseError("field 'targets' must be a list")
+    for tg in raw_targets:
+        if not isinstance(tg, dict):
+            raise ParseError("each target must be an object")
+        tid = tg.get("id")
+        if type(tid) is not int:
+            raise ParseError("target id must be an integer")
+        joints = tg.get("joints")
+        if not isinstance(joints, list):
+            raise ParseError(f"target {tid}: bad 'joints'")
+        _check_joint_count(len(joints), f"target {tid}")
+        xyz = np.full((len(joints), 3), np.nan)
+        jt = np.full(len(joints), np.nan)
+        for j, entry in enumerate(joints):
+            if entry is None:
+                continue
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ParseError(f"target {tid} joint {j}: expected [X, Y, Z] or null")
+            try:
+                xyz[j] = [float(v) for v in entry]
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"target {tid} joint {j}: expected numbers, "
+                                 f"got {entry!r}") from None
+        raw_times = tg.get("joint_times") or []
+        if not isinstance(raw_times, list) or len(raw_times) > len(joints):
+            raise ParseError(f"target {tid}: 'joint_times' must be a list with at "
+                             "most one entry per joint")
+        for j, entry in enumerate(raw_times):
+            if entry is not None:
+                jt[j] = _parse_ts(entry, "joint_times")
+        targets[tid] = xyz
+        times[tid] = jt
+    return TrackRow(t, targets, times)
+
+
 def load_tracks(path: str) -> list[TrackRow]:
     """Track rows; every target must list the skeleton's N_JOINTS joints."""
-    rows: list[TrackRow] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            obj = _loads(line, path, lineno)
-            t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
-            targets: dict[int, np.ndarray] = {}
-            times: dict[int, np.ndarray] = {}
-            raw_targets = _field(obj, "targets", path, lineno)
-            if not isinstance(raw_targets, list):
-                raise ParseError(f"{path}:{lineno}: field 'targets' must be a list")
-            for tg in raw_targets:
-                if not isinstance(tg, dict):
-                    raise ParseError(f"{path}:{lineno}: each target must be an object")
-                tid = tg.get("id")
-                if not isinstance(tid, int):
-                    raise ParseError(f"{path}:{lineno}: target id must be an integer")
-                joints = tg.get("joints")
-                if not isinstance(joints, list):
-                    raise ParseError(f"{path}:{lineno}: target {tid}: bad 'joints'")
-                _check_joint_count(len(joints), path, lineno, f"target {tid}")
-                xyz = np.full((len(joints), 3), np.nan)
-                jt = np.full(len(joints), np.nan)
-                for j, entry in enumerate(joints):
-                    if entry is None:
-                        continue
-                    if not isinstance(entry, list) or len(entry) != 3:
-                        raise ParseError(f"{path}:{lineno}: target {tid} joint {j}: "
-                                         "expected [X, Y, Z] or null")
-                    try:
-                        xyz[j] = [float(v) for v in entry]
-                    except (TypeError, ValueError, OverflowError):
-                        raise ParseError(f"{path}:{lineno}: target {tid} joint {j}: "
-                                         f"expected numbers, got {entry!r}") from None
-                raw_times = tg.get("joint_times") or []
-                if not isinstance(raw_times, list) or len(raw_times) > len(joints):
-                    raise ParseError(f"{path}:{lineno}: target {tid}: 'joint_times' "
-                                     "must be a list with at most one entry per joint")
-                for j, entry in enumerate(raw_times):
-                    if entry is not None:
-                        jt[j] = _parse_ts(entry, path, lineno, "joint_times")
-                targets[tid] = xyz
-                times[tid] = jt
-            rows.append(TrackRow(t, targets, times))
-    return rows
+    return list(_records(path, _track_row))
 
 
 # -------------------------------------------------------------- ground truth
@@ -405,34 +422,34 @@ def write_truth(truth: GroundTruth, path: str) -> None:
                                "person": pid}) + "\n")
 
 
+def _truth_record(obj: dict) -> tuple:
+    """("pose", (camera_id, t, people)) or ("det", (det_person key, person))."""
+    kind = _field(obj, "kind")
+    cid = _str_field(obj, "camera_id")
+    t = _parse_ts(_field(obj, "timestamp"))
+    if kind == "pose":
+        raw_people = _field(obj, "people")
+        if not isinstance(raw_people, dict):
+            raise ParseError("field 'people' must be an object")
+        people = {_person_id(k): _parse_points(v, f"person {k}")
+                  for k, v in raw_people.items()}
+        for pid, pose in people.items():
+            _check_joint_count(len(pose), f"person {pid}")
+        return kind, (cid, t, people)
+    if kind == "det":
+        return kind, ((cid, t, _parse_int(_field(obj, "index"), "field 'index'")),
+                      _parse_int(_field(obj, "person"), "field 'person'"))
+    raise ParseError(f"unknown record kind {kind!r}")
+
+
 def load_truth(path: str) -> GroundTruth:
     """Ground truth; every pose must hold the skeleton's N_JOINTS joints."""
     truth = GroundTruth(pose_frames=[], det_person={}, noise={})
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            obj = _loads(line, path, lineno)
-            kind = _field(obj, "kind", path, lineno)
-            cid = _camera_id(obj, path, lineno)
-            t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
-            if kind == "pose":
-                raw_people = _field(obj, "people", path, lineno)
-                if not isinstance(raw_people, dict):
-                    raise ParseError(f"{path}:{lineno}: field 'people' must be an object")
-                people = {_parse_int(k, path, lineno, "person id"):
-                          _parse_points(v, path, lineno, f"person {k}")
-                          for k, v in raw_people.items()}
-                for pid, pose in people.items():
-                    _check_joint_count(len(pose), path, lineno, f"person {pid}")
-                truth.pose_frames.append((cid, t, people))
-            elif kind == "det":
-                key = (cid, t, _parse_int(_field(obj, "index", path, lineno), path,
-                                          lineno, "field 'index'"))
-                truth.det_person[key] = _parse_int(_field(obj, "person", path, lineno),
-                                                   path, lineno, "field 'person'")
-            else:
-                raise ParseError(f"{path}:{lineno}: unknown record kind {kind!r}")
+    for kind, rec in _records(path, _truth_record):
+        if kind == "pose":
+            truth.pose_frames.append(rec)
+        else:
+            truth.det_person[rec[0]] = rec[1]
     return truth
 
 
@@ -446,52 +463,46 @@ def assignment_record(r: AssignmentRecord) -> dict:
                                        index=r.index, target=r.target_id)
 
 
+def _assignment(obj: dict) -> AssignmentRecord:
+    cid = _str_field(obj, "camera_id")
+    target = _field(obj, "target")
+    if target is not None and type(target) is not int:
+        raise ParseError("field 'target' must be an integer or null")
+    return AssignmentRecord(cid, _parse_ts(_field(obj, "timestamp")),
+                            _parse_int(_field(obj, "index"), "field 'index'"),
+                            target)
+
+
 def load_assignments(path: str) -> list[AssignmentRecord]:
-    out: list[AssignmentRecord] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            obj = _loads(line, path, lineno)
-            cid = _camera_id(obj, path, lineno)
-            target = _field(obj, "target", path, lineno)
-            if target is not None and not isinstance(target, int):
-                raise ParseError(f"{path}:{lineno}: field 'target' must be an integer "
-                                 "or null")
-            out.append(AssignmentRecord(
-                cid, _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno),
-                _parse_int(_field(obj, "index", path, lineno), path, lineno,
-                           "field 'index'"),
-                target))
-    return out
+    return list(_records(path, _assignment))
 
 
 # ------------------------------------------------------------------- config
 
-_INT_KEYS = {"velocity_window", "min_views_init", "min_shared_joints",
-             "max_exact_partition"}
-_BOOL_KEYS = {"confidence_weighting"}
+# each config field's annotation: "float", "int", "bool" or "float | None"
+_KINDS = {f.name: f.type for f in fields(TrackerConfig)}
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
 def _coerce_config_value(key: str, val, path: str):
-    if key in _BOOL_KEYS:
+    kind = _KINDS[key]
+    if kind == "bool":
         if isinstance(val, bool):
             return val
         if isinstance(val, str) and val.lower() in _TRUE | _FALSE:
             return val.lower() in _TRUE
         raise ParseError(f"{path}: config key {key!r}: expected a boolean, got {val!r}")
-    if key == "alpha2d_epi" and (val is None or
-                                 (isinstance(val, str) and val.lower() in ("none", "null"))):
+    if kind == "float | None" and (val is None or (
+            isinstance(val, str) and val.lower() in ("none", "null"))):
         return None
     try:
-        num = float(val)
+        num = float(None if isinstance(val, bool) else val)  # a bool is no number
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: config key {key!r}: not a number: {val!r}") from None
     if not math.isfinite(num):
         raise ParseError(f"{path}: config key {key!r}: not a finite number: {val!r}")
-    if key in _INT_KEYS:
+    if kind == "int":
         if num != int(num):
             raise ParseError(f"{path}: config key {key!r}: expected an integer")
         return int(num)
@@ -515,13 +526,12 @@ def parse_config_text(text: str, path: str = "<config>") -> TrackerConfig:
             if not body:
                 continue
             if "=" not in body:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
+                raise _at(path, lineno, "expected key=value")
             k, v = body.split("=", 1)
             raw[k.strip()] = v.strip()
-    known = set(TrackerConfig.__dataclass_fields__)
     kwargs = {}
     for k, v in raw.items():
-        if k not in known:
+        if k not in _KINDS:
             raise ParseError(f"{path}: unknown config key {k!r}")
         kwargs[k] = _coerce_config_value(k, v, path)
     try:

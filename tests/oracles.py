@@ -20,7 +20,7 @@ import numpy as np
 from posefuse.affinity import EPS_CLOCK, ChronologyViolation
 from posefuse.geometry import CameraView, DegenerateLine, DegenerateProjection, \
     epipolar_line, hom, point_to_line_distance
-from posefuse.io_cli import ParseError, _camera_id, _field, _loads, _parse_ts, fmt_ts
+from posefuse.io_cli import ParseError, _field, _loads, _parse_ts, _str_field, fmt_ts
 from posefuse.reconstruction import UnknownCamera
 from posefuse.tracker import Detection, FrameBatch
 
@@ -604,10 +604,13 @@ def parse_frame_line(line: str, path: str, lineno: int,
                      n_joints: int | None = None) -> FrameBatch:
     """Per-joint reference for io_cli.parse_frame_line: each detection gets
     its own arrays, filled one joint at a time."""
-    obj = _loads(line, path, lineno)
-    cid = _camera_id(obj, path, lineno)
-    t = _parse_ts(_field(obj, "timestamp", path, lineno), path, lineno)
-    raw_dets = _field(obj, "detections", path, lineno)
+    try:
+        obj = _loads(line)
+        cid = _str_field(obj, "camera_id")
+        t = _parse_ts(_field(obj, "timestamp"))
+        raw_dets = _field(obj, "detections")
+    except ParseError as e:
+        raise ParseError(f"{path}:{lineno}: {e}") from None
     if not isinstance(raw_dets, list):
         raise ParseError(f"{path}:{lineno}: field 'detections' must be a list")
     dets: list[Detection] = []

@@ -455,10 +455,9 @@ def test_dumps_writes_track_and_assignment_records_as_the_stdlib_encoder(monkeyp
 def stdlib_outcome(line, n_joints):
     """parse_frame_line's outcome on a line decoded by json alone."""
     try:
-        return io_cli._frame(io_cli._loads(line, "fuzz.jsonl", 7), "fuzz.jsonl", 7,
-                             n_joints)
+        return io_cli._frame(io_cli._loads(line), n_joints)
     except io_cli.ParseError as e:
-        return str(e)
+        return f"fuzz.jsonl:7: {e}"
 
 
 def crafted_line(joints, t='"0.5"', camera='"cam00"'):
@@ -545,6 +544,9 @@ def test_config_structured_object():
     ("alpha2dd = 45\n", "unknown config key"),
     ("velocity_window = 2.5\n", "expected an integer"),
     ("confidence_weighting = maybe\n", "expected a boolean"),
+    ('{"w2d": true}', "not a number"),
+    ('{"velocity_window": true}', "not a number"),
+    ('{"alpha2d_epi": false}', "not a number"),
     ("alpha2d\n", "expected key=value"),
     ('{"w2d": "fast"}', "not a number"),
     ("velocity_window = inf\n", "not a finite number"),
@@ -843,6 +845,7 @@ J3 = [[10.0, 20.0, 0.9], None, [30.0, 40.0, 0.8]]
     ([frame_line("0.0", J3), frame_line("inf", J3)], ":2: field 'timestamp'"),
     ([frame_line("0.0", [[10.0, 20.0, float("nan")], None, None])],
      ":1: detection 0 joint 0: confidence"),
+    ([frame_line(True, J3)], ":1: field 'timestamp': bad timestamp True"),
 ])
 def test_malformed_detection_lines_are_parse_errors(tmp_path, capsys, lines, where):
     cams, _, _ = scene(duration=0.2)
@@ -895,12 +898,15 @@ def assignment_line(**kw):
                             "index": 0, "target": 0}, **kw))
 
 
+def det_line(**kw):
+    return json.dumps(dict({"kind": "det", "camera_id": "cam00",
+                            "timestamp": "0.000000000", "index": 0, "person": 0}, **kw))
+
+
 POSE = [[0.1 * j, 0.0, 1.0 + 0.05 * j] for j in range(N_JOINTS)]
 TARGET = {"id": 0, "joints": POSE, "joint_times": ["0.000000000"] * N_JOINTS}
 VALID_EVALUATE_INPUTS = {
-    "truth": truth_line({"0": POSE}) + "\n" + json.dumps(
-        {"kind": "det", "camera_id": "cam00", "timestamp": "0.000000000",
-         "index": 0, "person": 0}),
+    "truth": truth_line({"0": POSE}) + "\n" + det_line(),
     "tracks": track_line([TARGET]),
     "assignments": assignment_line(),
 }
@@ -930,10 +936,31 @@ VALID_EVALUATE_INPUTS = {
      ":1: field 'target' must be an integer or null"),
     ("assignments", assignment_line(index="x"), ":1: field 'index': expected an integer"),
     ("assignments", assignment_line(camera_id=0), ":1: field 'camera_id' must be a string"),
+    ("truth", det_line(index=2.5), ":1: field 'index': expected an integer, got 2.5"),
+    ("truth", det_line(index=True), ":1: field 'index': expected an integer, got True"),
+    ("truth", det_line(index="3"), ":1: field 'index': expected an integer, got '3'"),
+    ("truth", det_line(person=True), ":1: field 'person': expected an integer"),
+    ("truth", truth_line({" 7 ": POSE, "7": POSE}),
+     ":1: person id: expected an integer, got ' 7 '"),
+    ("truth", truth_line({"07": POSE}), ":1: person id: expected an integer, got '07'"),
+    ("truth", det_line(timestamp=True), ":1: field 'timestamp': bad timestamp True"),
+    ("tracks", track_line([dict(TARGET, id=True)]), ":1: target id must be an integer"),
+    ("tracks", json.dumps({"timestamp": True, "targets": []}),
+     ":1: field 'timestamp': bad timestamp True"),
+    ("assignments", assignment_line(index=1.5),
+     ":1: field 'index': expected an integer, got 1.5"),
+    ("assignments", assignment_line(target=True),
+     ":1: field 'target' must be an integer or null"),
+    ("assignments", assignment_line(timestamp=True),
+     ":1: field 'timestamp': bad timestamp True"),
 ], ids=["person-id", "people-list", "pose-pairs", "pose-text", "pose-joint-count",
         "truth-camera", "targets-number", "target-number", "joint-text",
         "joint-times-long", "target-joint-count", "assignment-target",
-        "assignment-index", "assignment-camera"])
+        "assignment-index", "assignment-camera", "det-index-float", "det-index-bool",
+        "det-index-text", "det-person-bool", "person-id-spaced", "person-id-zero-led",
+        "det-timestamp-bool", "target-id-bool", "tracks-timestamp-bool",
+        "assignment-index-float", "assignment-target-bool",
+        "assignment-timestamp-bool"])
 def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, content,
                                                     where):
     files = {}
@@ -952,6 +979,33 @@ def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, conte
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("bad", ["calib", "input", "truth", "tracks", "assignments"])
+def test_an_error_names_its_line_past_a_blank_one(tmp_path, capsys, bad):
+    # line 2 is blank and line 3 is bad, so a reader that skips blank lines
+    # must still count them
+    cams, frames, _ = scene(duration=0.2)
+    files = {"calib": tmp_path / "calib.jsonl", "input": tmp_path / "input.jsonl"}
+    io_cli.write_calibration(cams, str(files["calib"]))
+    io_cli.write_detections(frames, str(files["input"]))
+    for kind, text in VALID_EVALUATE_INPUTS.items():
+        files[kind] = tmp_path / f"{kind}.jsonl"
+        files[kind].write_text(text + "\n")
+    first = files[bad].read_text().splitlines()[0]
+    files[bad].write_text(first + "\n \n" + '{"bad": 1}\n')
+    if bad in ("calib", "input"):
+        args = ["track", "--output", str(tmp_path / "t.jsonl")]
+        kinds = ("calib", "input")
+    else:
+        args = ["evaluate", "--report", str(tmp_path / "r.json")]
+        kinds = ("truth", "tracks", "assignments")
+    for kind in kinds:
+        args += [f"--{kind}", str(files[kind])]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert f"{bad}.jsonl:3: missing field" in err
 
 
 def test_cli_import_loads_no_scipy():
