@@ -8,6 +8,7 @@ detection affinity is CrossViewTracker._affinity_core.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,29 @@ EPS_CLOCK = 1e-3
 
 class ChronologyViolation(ValueError):
     """Detection is older than prior state by more than the clock tolerance."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A finite real number, not a bool; an int past float range is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+# TrackerConfig field annotation -> (test of a value, what the test asks for)
+_FIELD_KINDS = {
+    "float": (_is_finite, "a number"),
+    "float | None": (lambda v: v is None or _is_finite(v), "a number or None"),
+    "int": (_is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
 @dataclass(frozen=True)
@@ -51,11 +75,15 @@ class TrackerConfig:
     confidence_weighting: bool = False
 
     def __post_init__(self):
-        # NaN passes every range check below
+        # NaN passes every range check below, and a value of another type
+        # fails them with a TypeError or not at all
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
+            fits, kind = _FIELD_KINDS[f.type]
+            if not fits(v):
+                raise ValueError(f"{f.name} must be {kind}, got {v!r}")
         if self.w2d < 0 or self.w3d < 0:
             raise ValueError("w2d and w3d must be nonnegative")
         if self.alpha2d <= 0 or self.alpha3d <= 0:

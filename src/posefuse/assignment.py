@@ -22,22 +22,20 @@ def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return []
-    nr, nc = a.shape
-    tall = nc < nr
-    score = (a.T if tall else a).tolist()
-    # a finite total means every entry is finite, which is the common case
-    screened = not math.isfinite(sum(map(sum, score)))
-    if screened:
-        if np.isnan(a).any() or (a == math.inf).any():
+    tall = a.shape[1] < a.shape[0]
+    raw = (a.T if tall else a).tolist()
+    score = raw
+    # a finite total means every entry is finite, which is the common case;
+    # a total of -inf rules out NaN and +inf, and any other total may also
+    # come from finite entries that overflow
+    total = sum(map(sum, raw))
+    if not math.isfinite(total):
+        if total != -math.inf and any(x != x or x == math.inf for row in raw for x in row):
             raise ValueError("matrix contains invalid numeric entries")
-        score = [[_FORBIDDEN if x == -math.inf else x for x in row] for row in score]
-    if tall:
-        pairs = sorted((r, c) for c, r in enumerate(_assign_max(score, nc, nr)))
-    else:
-        pairs = list(enumerate(_assign_max(score, nr, nc)))
-    if screened:
-        pairs = [(r, c) for r, c in pairs if a[r, c] != -math.inf]
-    return pairs
+        score = [[_FORBIDDEN if x == -math.inf else x for x in row] for row in raw]
+    pairs = [(i, j) for i, j in enumerate(_assign_max(score, len(raw), len(raw[0])))
+             if raw[i][j] != -math.inf]
+    return sorted((r, c) for c, r in pairs) if tall else pairs
 
 
 def _assign_max(score: list[list[float]], nr: int, nc: int) -> list[int]:
@@ -114,21 +112,6 @@ def _assign_max(score: list[list[float]], nr: int, nc: int) -> list[int]:
             if i == cur:
                 break
     return col4row
-
-
-def filter_matches(pairs, a: np.ndarray, threshold: float):
-    """Split an assignment into accepted pairs and leftover rows/columns.
-
-    A pair survives iff its score is finite and >= threshold.
-    """
-    a = np.asarray(a, dtype=float)
-    accepted = [(r, c) for r, c in pairs
-                if math.isfinite(v := float(a[r, c])) and v >= threshold]
-    rows = {r for r, _ in accepted}
-    cols = {c for _, c in accepted}
-    unmatched_rows = [r for r in range(a.shape[0]) if r not in rows]
-    unmatched_cols = [c for c in range(a.shape[1]) if c not in cols]
-    return accepted, unmatched_rows, unmatched_cols
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ are unsynchronized by default.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .affinity import TrackerConfig, epipolar_affinity_matrix
+from .affinity import TrackerConfig, _is_finite, _is_int, epipolar_affinity_matrix
 from .geometry import CameraView, FundamentalTable, build_fundamental_table, \
     project_points
 from .tracker import Detection, FrameBatch, cluster_pool, stack_detections
@@ -33,20 +32,6 @@ ROOT_HEIGHT = 0.95
 
 class InvalidSpec(ValueError):
     """Scenario parameters are out of range or inconsistent."""
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    """A finite real number, not a bool; an int past float range is not."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
 
 
 def _is_point(v) -> bool:
@@ -188,14 +173,12 @@ class _PersonMotion:
         self.b = b
         if spec.waypoints is not None:
             pts = np.array(spec.waypoints[person], dtype=float)
-            self.azimuth = rng.uniform(0, 2 * np.pi)
-            self.phase = rng.uniform(0, 2 * np.pi)
         else:
             bx, by = spec.walk_bounds
             n_wp = max(3, int(np.ceil(spec.duration * spec.root_speed / 1.5)) + 2)
             pts = np.column_stack([rng.uniform(-bx, bx, n_wp), rng.uniform(-by, by, n_wp)])
-            self.azimuth = rng.uniform(0, 2 * np.pi)
-            self.phase = rng.uniform(0, 2 * np.pi)
+        self.azimuth = rng.uniform(0, 2 * np.pi)
+        self.phase = rng.uniform(0, 2 * np.pi)
         self.freq = spec.swing_frequency
         self.amp = spec.swing_amplitude
         # piecewise-linear schedule: cumulative arrival time per waypoint

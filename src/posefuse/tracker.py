@@ -18,7 +18,7 @@ import numpy as np
 
 from .affinity import EPS_CLOCK, ChronologyViolation, TrackerConfig, \
     epipolar_affinity_matrix
-from .assignment import filter_matches, hungarian_max, partition_cycle_consistent
+from .assignment import hungarian_max, partition_cycle_consistent
 from .geometry import CameraView, build_fundamental_table
 from .reconstruction import UnknownCamera, triangulate
 
@@ -319,29 +319,24 @@ class CrossViewTracker:
         records = self._release_pool(cid, t) if self._pool else []
 
         accepted: list[tuple[int, int]] = []
-        unmatched = list(range(len(dets)))
         n_old = len(self._ids)
         if dets and n_old:
             with np.errstate(all="ignore"):
                 A = self._affinity_core(dxy, dvm, ci, t)
-                thr = self.cfg.match_threshold
-                pairs = hungarian_max(A)
-                accepted, _, unmatched = filter_matches(pairs, A, thr)
-                if len(accepted) < len(pairs):
-                    # a pair below the threshold may hold a detection that
-                    # another target accepts; solve again without such pairs.
-                    # When every pair is accepted, the first solve is already
-                    # the best one without them.
-                    pairs = hungarian_max(np.where(A >= thr, A, -np.inf))
-                    accepted, _, unmatched = filter_matches(pairs, A, thr)
+                # pairs below the threshold, NaN among them, are forbidden
+                # before the solve, so none takes a detection that another
+                # target accepts
+                accepted = hungarian_max(np.where(A >= self.cfg.match_threshold, A, -np.inf))
                 if accepted:
                     rc = np.array(accepted, dtype=np.intp)
                     self._update_matched(rc[:, 0], rc[:, 1], dxy, dconf, dvm, ci, t)
             for r, c in accepted:
                 records.append(AssignmentRecord(cid, dets[c].timestamp,
                                                 dets[c].index, self._ids[r]))
+        taken = {c for _, c in accepted}
+        unmatched = [d for c, d in enumerate(dets) if c not in taken]
         if unmatched:
-            self._add_to_pool(cid, [dets[c] for c in unmatched])
+            self._add_to_pool(cid, unmatched)
 
         records.extend(self._initialize_targets())
         retired = self._retire(t, ci, n_old)

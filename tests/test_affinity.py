@@ -268,6 +268,12 @@ def test_config_validation_and_defaults():
                 dict(min_shared_joints=0)]:
         with pytest.raises(ValueError):
             TrackerConfig(**bad)
+    # each value of the wrong type is rejected by name, before any use
+    for field, value in [("confidence_weighting", "no"), ("velocity_window", 2.5),
+                         ("max_exact_partition", True), ("w2d", "0.4")]:
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrackerConfig(**{field: value})
+    assert TrackerConfig(w2d=1, alpha2d_epi=None).alpha2d_epi == 30.0
 
 
 @pytest.mark.parametrize("field", ["w2d", "alpha2d", "alpha3d", "lambda_t",

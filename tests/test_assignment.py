@@ -6,7 +6,6 @@ import pytest
 from posefuse import assignment
 from posefuse.assignment import (
     Partition,
-    filter_matches,
     hungarian_max,
     partition_cycle_consistent,
 )
@@ -108,15 +107,14 @@ def test_hungarian_rejects_nan_and_plus_inf(bad):
         hungarian_max(a)
 
 
-def test_filter_matches_threshold():
-    a = np.array([[0.5, -1.0], [-2.0, 0.0]])
-    pairs = [(0, 0), (1, 1)]
-    acc, ur, uc = filter_matches(pairs, a, 0.0)
-    assert acc == [(0, 0), (1, 1)]
-    assert ur == [] and uc == []
-    acc, ur, uc = filter_matches(pairs, a, 0.1)
-    assert acc == [(0, 0)]
-    assert ur == [1] and uc == [1]
+def test_hungarian_accepts_finite_entries_whose_total_overflows():
+    # the sum that screens for NaN and +inf overflows to +inf, -inf or NaN
+    big = 1e308
+    for a, want in [([[big, big], [big, 0.0]], [(0, 1), (1, 0)]),
+                    ([[-big, -big], [-big, 0.0]], [(0, 0), (1, 1)]),
+                    ([[big, big], [-np.inf, 0.0]], [(0, 0), (1, 1)]),
+                    ([[-big, -big], [-np.inf, big]], [(0, 0), (1, 1)])]:
+        assert hungarian_max(np.array(a)) == want, a
 
 
 def test_partition_hand_example():

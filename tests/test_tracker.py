@@ -322,22 +322,33 @@ def test_a_detection_without_a_usable_joint_never_matches(blank):
     assert [r.target_id for r in records if r.camera_id == cid] == [None, None]
 
 
-def test_a_pair_below_the_threshold_never_takes_an_accepted_detection():
+@pytest.mark.parametrize("threshold, scores, matches, pooled", [
     # matching min(targets, detections) pairs gives [(0, 1), (1, 0)], both
     # below the threshold 0, so target 0 would lose the detection it accepts
+    (0.0, [[1.0, -0.3], [-0.5, -np.inf]], [(0, 0)], [1]),
+    (0.0, [[-0.1, -0.2], [-0.4, -0.3]], [], [0, 1]),
+    # the unique optimum, off the diagonal, is accepted as it stands
+    (0.0, [[0.2, 0.9], [0.8, 0.1]], [(1, 0), (0, 1)], []),
+    (0.5, [[0.9, 0.2], [0.1, 0.3]], [(0, 0)], [1]),
+], ids=["a-rival-below", "all-below", "off-diagonal", "threshold-0.5"])
+def test_a_pair_below_the_threshold_never_takes_an_accepted_detection(
+        threshold, scores, matches, pooled):
+    # matches are (detection, target) positions, listed by target
     cams, frames, _ = static_scene(n_people=2, n_cameras=4, duration=1.0)
-    tr = CrossViewTracker(cams)
+    tr = CrossViewTracker(cams, TrackerConfig(match_threshold=threshold))
     frames = iter(frames)
     while len(tr.targets) < 2:
         tr.step(next(frames))
+    assert len(tr.targets) == 2
     frame = next(f for f in frames if len(f.detections) == 2)
-    tr._affinity_core = lambda *args: np.array([[1.0, -0.3], [-0.5, -np.inf]])
+    tr._affinity_core = lambda *args: np.array(scores)
     out = tr.step(frame)
     ids = [tg.id for tg in tr.targets]
+    index = [d.index for d in frame.detections]
     matched = [(r.index, r.target_id) for r in out.assignments
                if (r.camera_id, r.timestamp) == (frame.camera_id, frame.timestamp)]
-    assert matched == [(frame.detections[0].index, ids[0])]
-    assert [d.index for d in tr.pool[frame.camera_id]] == [frame.detections[1].index]
+    assert matched == [(index[c], ids[r]) for c, r in matches]
+    assert [d.index for d in tr.pool.get(frame.camera_id, [])] == [index[c] for c in pooled]
 
 
 def test_poses_cover_all_live_targets_every_step():

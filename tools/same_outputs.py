@@ -1,13 +1,15 @@
-"""Check that two source trees write the same tracks and assignments.
+"""Check that two source trees write the same inputs, tracks and assignments.
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
-Prepares the input files of grid12, grid32 and clutter8 at seeds 7, 11 and
-401 once, with PARENT_TREE's `benchmark/drive.py prepare`, in a temporary
-directory. Runs `posefuse track --assignments` on each set from each tree's
-src/, prints the sha256 of the tracks and of the assignments for both trees,
-one line per set, and exits 1 if any pair differs. The temporary directory
-is removed at the end, and no bytecode is written into either tree.
+For grid12, grid32 and clutter8 at seeds 7, 11 and 401, prepares the input
+files (calibration, detections, truth) with each tree's
+`benchmark/drive.py prepare` in a temporary directory, and prints the sha256
+of each file for both trees. Then runs `posefuse track --assignments` from
+each tree's src/ on PARENT_TREE's inputs and prints the sha256 of the tracks
+and of the assignments for both trees. Exits 1 if any input, track or
+assignment file differs. The temporary directory is removed at the end, and
+no bytecode is written into either tree.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import tempfile
 
 WORKLOADS = ("grid12", "grid32", "clutter8")
 SEEDS = (7, 11, 401)
+INPUTS = ("calibration.jsonl", "detections.jsonl", "truth.jsonl")
+LABELS = ("parent", "change")
 
 
 def run(tree: str, args: list[str]) -> None:
@@ -55,18 +59,22 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for name in WORKLOADS:
             for seed in SEEDS:
-                inputs = os.path.join(tmp, f"{name}-{seed}")
-                run(parent, [os.path.join(parent, "benchmark", "drive.py"), "prepare",
-                             "--workload", name, "--seed", str(seed), "--dir", inputs])
-                pairs = []
-                for i, tree in enumerate((parent, change)):
-                    out = os.path.join(inputs, f"out{i}")
+                dirs = [os.path.join(tmp, f"{name}-{seed}-{label}") for label in LABELS]
+                inputs, outputs = [], []
+                for tree, d in zip((parent, change), dirs):
+                    run(tree, [os.path.join(tree, "benchmark", "drive.py"), "prepare",
+                               "--workload", name, "--seed", str(seed), "--dir", d])
+                    inputs.append([digest(os.path.join(d, f)) for f in INPUTS])
+                for tree, d in zip((parent, change), dirs):
+                    out = os.path.join(d, "out")
                     os.mkdir(out)
-                    pairs.append(track(tree, inputs, out))
-                ok = pairs[0] == pairs[1]
+                    outputs.append(track(tree, dirs[0], out))
+                ok = inputs[0] == inputs[1] and outputs[0] == outputs[1]
                 same &= ok
                 print(f"{name} seed {seed}: {'same' if ok else 'DIFFERENT'}")
-                for label, (t, a) in zip(("parent", "change"), pairs):
+                for label, ins, (t, a) in zip(LABELS, inputs, outputs):
+                    for f, h in zip(INPUTS, ins):
+                        print(f"  {label}: {f} {h}")
                     print(f"  {label}: tracks {t} assignments {a}")
     return 0 if same else 1
 
