@@ -7,17 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# stands in for -inf during the assignment solve; any matching that avoids a
-# forbidden pair beats any matching that includes one
-_FORBIDDEN = -1e15
-
 
 def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-total-weight assignment over a dense score matrix.
 
     Rectangular inputs match min(N, M) pairs. Entries of -inf are never part
-    of the result; their rows/columns simply stay unmatched. NaN or +inf
-    entries raise ValueError. Pairs come sorted by row.
+    of the result; their rows/columns simply stay unmatched, as few as a
+    matching of finite entries allows. NaN or +inf entries raise ValueError.
+    Pairs come sorted by row.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -32,7 +29,13 @@ def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
     if not math.isfinite(total):
         if total != -math.inf and any(x != x or x == math.inf for row in raw for x in row):
             raise ValueError("matrix contains invalid numeric entries")
-        score = [[_FORBIDDEN if x == -math.inf else x for x in row] for row in raw]
+        # n pairs of finite entries up to S in size differ by at most 2 n S in
+        # total, so trading a finite pair for `low` always loses; scaling by a
+        # power of two, which changes no comparison, keeps `low` finite
+        S = max((abs(x) for row in raw for x in row if x != -math.inf), default=0.0)
+        s = math.ldexp(1.0, min(0, 1000 - math.frexp(S)[1]))
+        low = -(2 * len(raw) + 1) * (S * s) - 1.0
+        score = [[low if x == -math.inf else x * s for x in row] for row in raw]
     pairs = [(i, j) for i, j in enumerate(_assign_max(score, len(raw), len(raw[0])))
              if raw[i][j] != -math.inf]
     return sorted((r, c) for c, r in pairs) if tall else pairs

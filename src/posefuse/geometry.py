@@ -1,8 +1,7 @@
-"""Calibrated-camera math: projection, epipolar lines, fundamental matrices."""
+"""Calibrated-camera math: projection and fundamental matrices."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,10 +9,6 @@ import numpy as np
 
 class DegenerateProjection(ValueError):
     """Point has (near-)zero or negative depth in the camera frame."""
-
-
-class DegenerateLine(ValueError):
-    """Epipolar line has no direction; the source point is the epipole."""
 
 
 class CoincidentCenters(ValueError):
@@ -87,24 +82,6 @@ def project_points(cam: CameraView, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return uv, depth
 
 
-def point_to_line_distance(x, line: np.ndarray) -> float:
-    """Distance from a 2D point to a normalized homogeneous line."""
-    return float(abs(line[0] * x[0] + line[1] * x[1] + line[2]))
-
-
-def epipolar_line(F: np.ndarray, x) -> np.ndarray:
-    """Map a pixel through F to the epipolar line in the other view.
-
-    The returned line is scaled so its normal (a, b) has unit length, which
-    makes point_to_line_distance a plain dot product.
-    """
-    l = F @ hom(np.asarray(x, dtype=float))
-    n = np.hypot(l[0], l[1])
-    if n < 1e-12:
-        raise DegenerateLine("point is the epipole; epipolar line undefined")
-    return l / n
-
-
 def fundamental_from_projections(cam1: CameraView, cam2: CameraView) -> np.ndarray:
     """Fundamental matrix mapping cam1 pixels to epipolar lines in cam2.
 
@@ -123,36 +100,27 @@ def fundamental_from_projections(cam1: CameraView, cam2: CameraView) -> np.ndarr
     return F / np.linalg.norm(F)
 
 
-class FundamentalTable(Mapping):
-    """Read-only mapping (from_id, to_id) -> fundamental matrix F that also
-    holds every matrix in one (2 C^2, 3, 3) array for batched lookups: with
-    a and b the positions in index of two of the C cameras, stacked[a * C + b]
-    is F' and stacked[C^2 + a * C + b] is F for the pair; the rows of a
-    camera with itself are zero."""
+@dataclass(frozen=True)
+class FundamentalTable:
+    """Every pairwise fundamental matrix of C cameras in one (2 C^2, 3, 3)
+    array for batched lookups: with a and b the positions in index of two
+    cameras, stacked[a * C + b] is F' and stacked[C^2 + a * C + b] is F, the
+    matrix mapping a's pixels to epipolar lines in b; the rows of a camera
+    with itself are zero."""
 
-    def __init__(self, pairs: dict[tuple[str, str], np.ndarray], ids: list[str]):
-        self._pairs = pairs
-        self.index = {cid: c for c, cid in enumerate(ids)}
-        zero = np.zeros((3, 3))
-        F = np.array([pairs[(a, b)] if a != b else zero for a in ids for b in ids])
-        self.stacked = np.concatenate([F.transpose(0, 2, 1), F])
-
-    def __getitem__(self, key: tuple[str, str]) -> np.ndarray:
-        return self._pairs[key]
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
+    index: dict[str, int]
+    stacked: np.ndarray
 
 
 def build_fundamental_table(cams: list[CameraView]) -> FundamentalTable:
-    """All pairwise fundamental matrices, keyed (from_id, to_id)."""
-    table: dict[tuple[str, str], np.ndarray] = {}
+    """All pairwise fundamental matrices: fundamental_from_projections for
+    each pair in rig order, and its transpose for the reverse pair."""
+    C = len(cams)
+    F = np.zeros((C, C, 3, 3))
     for i, a in enumerate(cams):
-        for b in cams[i + 1:]:
-            F = fundamental_from_projections(a, b)
-            table[(a.id, b.id)] = F
-            table[(b.id, a.id)] = F.T
-    return FundamentalTable(table, [c.id for c in cams])
+        for j in range(i + 1, C):
+            F[i, j] = fundamental_from_projections(a, cams[j])
+            F[j, i] = F[i, j].T
+    F = F.reshape(C * C, 3, 3)
+    return FundamentalTable({c.id: i for i, c in enumerate(cams)},
+                            np.concatenate([F.transpose(0, 2, 1), F]))

@@ -16,7 +16,7 @@ import numpy as np
 from .affinity import TrackerConfig, _is_finite, _is_int, epipolar_affinity_matrix
 from .geometry import CameraView, FundamentalTable, build_fundamental_table, \
     project_points
-from .tracker import Detection, FrameBatch, cluster_pool, stack_detections
+from .tracker import Detection, FrameBatch, cluster_pool, stack_detections, triangulate
 
 JOINT_NAMES = ["head", "neck", "lsho", "rsho", "lelb", "relb", "lwri", "rwri",
                "lhip", "rhip", "lknee", "rknee", "lank", "rank"]
@@ -354,29 +354,51 @@ def synchronized_groups(frames: list[FrameBatch]) -> list[list[FrameBatch]]:
     return [[per_cam[cid][i] for cid in order] for i in range(n)]
 
 
+def plain_pose(P: np.ndarray, xy: np.ndarray, vis: np.ndarray) -> np.ndarray:
+    """Plain DLT (K, 3) of a skeleton's joints from n views, P (n, 3, 4),
+    pixels xy (n, K, 2) and usable-joint mask vis (n, K): triangulate, with no
+    previous point, on C'C, where C stacks the rows x * p3 - p1 and
+    y * p3 - p2 of each view that sees the joint (p1..p3 being the rows of
+    its P) and zero rows for the others. NaN for a joint seen by fewer than
+    two views or at infinity."""
+    n, K = vis.shape
+    X = np.full((K, 3), np.nan)
+    ks = (np.add.reduce(vis, axis=0) >= 2).nonzero()[0]
+    pts = xy[:, ks].transpose(1, 0, 2)  # (k, n, 2)
+    rows = pts[..., None] * P[:, 2][:, None] - P[:, :2]  # (k, n, 2, 4)
+    if n > 2:  # with two views, each joint solved is seen by both
+        rows = np.where(vis[:, ks].T[:, :, None, None], rows, 0.0)
+    C = rows.reshape(ks.size, 2 * n, 4)
+    X[ks] = triangulate(C.transpose(0, 2, 1) @ C, X[ks])
+    return X
+
+
 def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
                     cfg: TrackerConfig,
                     ftable: FundamentalTable | None = None):
     """Per-frame brute-force competitor: cluster_pool over all detections of
     one synchronized frame group, the association the tracker runs only on
-    its unmatched pool. Stateless across frames: the group is stacked and
-    scored anew.
+    its unmatched pool, and plain_pose for each group. Stateless across
+    frames: the group is stacked and scored anew.
 
     Returns (timestamp, poses, memberships): poses is {cluster_idx: (K, 3)}
     with NaN rows for unplaced joints, memberships maps cluster_idx to the
-    member detections.
+    member detections; a group with no placed joint is left out.
     """
     if ftable is None:
         ftable = build_fundamental_table(cams)
     dets = [d for f in group for d in f.detections]
     stamp = max(f.timestamp for f in group)
-    found = []
+    poses, members = {}, {}
     ids = [d.camera_id for d in dets]
     if len(dets) >= cfg.min_views_init and len(set(ids)) > 1:
         xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
         a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
         P = {c.id: c.P for c in cams}
-        found = cluster_pool(a, np.array([P[cid] for cid in ids]), xy, vis, cfg)
-    poses = {i: X for i, (_, X) in enumerate(found)}
-    members = {i: [dets[j] for j in c] for i, (c, _) in enumerate(found)}
+        P = np.array([P[cid] for cid in ids])
+        for c in cluster_pool(a, cfg):
+            X = plain_pose(P[c], xy[c], vis[c])
+            if not np.isnan(X[:, 0]).all():
+                members[len(poses)] = [dets[j] for j in c]
+                poses[len(poses)] = X
     return stamp, poses, members

@@ -20,7 +20,10 @@ from .affinity import EPS_CLOCK, ChronologyViolation, TrackerConfig, \
     epipolar_affinity_matrix
 from .assignment import hungarian_max, partition_cycle_consistent
 from .geometry import CameraView, build_fundamental_table
-from .reconstruction import UnknownCamera, triangulate
+
+
+class UnknownCamera(KeyError):
+    """Observation references a camera the rig does not contain."""
 
 
 # Largest bound on the sine of the angle between an inverse-iteration answer
@@ -64,12 +67,15 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
     l2 l3 <= (tr(B) / 2)^2 = 1/4. Noisy views leave l0 / l1 near 1e-3, where
     three steps end just short of the bound, so the systems with a finite
     X_prev that fail it get two more steps and the same test. Systems whose
-    X_prev is not finite, and systems still unsettled, are solved by eigh.
+    X_prev is not finite, and systems still unsettled, are solved by eigh,
+    at once when no X_prev is finite, as for a new target.
 
     Returns the directions and a mask of the systems that inverse iteration
     settled.
     """
     N = AtA.shape[0]
+    if not np.isfinite(X_prev).any():
+        return np.linalg.eigh(AtA)[1][:, :, 0], np.zeros(N, dtype=bool)
     with np.errstate(all="ignore"):
         B = AtA / np.einsum("nii->n", AtA)[:, None, None]
         abc, L1, R1, L2, R2 = B.reshape(N, 16).T.take(_COFACTORS, axis=0)
@@ -92,6 +98,16 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
         cold = np.flatnonzero(~conv)
         x[cold] = np.linalg.eigh(AtA[cold])[1][:, :, 0]
     return x, conv
+
+
+def triangulate(AtA: np.ndarray, X_prev: np.ndarray) -> np.ndarray:
+    """Points (N, 3) from (N, 4, 4) DLT normal matrices: the null direction of
+    each system, from null_directions warm-started at X_prev (N, 3), whose NaN
+    rows go to eigh, dehomogenized. A row is NaN where its solution is at
+    infinity (|w| < 1e-12, parallel rays)."""
+    x = null_directions(AtA, X_prev)[0]
+    x[np.abs(x[:, 3]) < 1e-12] = np.nan
+    return x[:, :3] / x[:, 3:]
 
 
 def _settled(B: np.ndarray, x: np.ndarray, gap: np.ndarray):
@@ -143,34 +159,22 @@ def stack_detections(dets: list[Detection], min_confidence: float):
     return xy, conf, (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
 
 
-def cluster_pool(a: np.ndarray, P: np.ndarray, xy: np.ndarray, vis: np.ndarray,
-                 cfg: TrackerConfig) -> list[tuple[list[int], np.ndarray]]:
-    """Group detections from different cameras into people and triangulate
-    each group: the association that builds new targets from the tracker's
-    pool and that the per-frame baseline runs on every frame.
+def cluster_pool(a: np.ndarray, cfg: TrackerConfig) -> list[list[int]]:
+    """Group detections from different cameras into people: the association
+    that builds new targets from the tracker's pool and that the per-frame
+    baseline runs on every frame.
 
-    a (N, N) is the detections' epipolar affinity matrix, P (N, 3, 4) holds
-    the projection matrix of each one's camera, and xy (N, K, 2) and vis
-    (N, K) are their joints and usable-joint mask from stack_detections.
-    a is partitioned cycle-consistently, groups of fewer than min_views_init
-    detections are dropped, and each remaining group is plain-triangulated
-    joint by joint from the members whose joint is usable. Returns (member
-    indices, (K, 3) pose with NaN rows for unsolved joints) for each group
-    with at least one solved joint, in partition order. When every pair
+    a (N, N) is the detections' epipolar affinity matrix. It is partitioned
+    cycle-consistently, and the member indices of each group of at least
+    min_views_init detections come back in partition order. When every pair
     scores below 0 the partition is all singletons, which min_views_init >= 2
     drops, so it is not run.
     """
     n = len(a)
     if np.count_nonzero(a < 0) == n * (n - 1):  # the zero diagonal never counts
         return []
-    found = []
-    for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters():
-        if len(c) < cfg.min_views_init:
-            continue
-        X = triangulate(P[c], xy[c], vis[c])
-        if not np.isnan(X[:, 0]).all():
-            found.append((c, X))
-    return found
+    return [c for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters()
+            if len(c) >= cfg.min_views_init]
 
 
 @dataclass(frozen=True)
@@ -220,8 +224,8 @@ class Target:
 class CrossViewTracker:
     """Fuses per-camera 2D pose streams into identity-stable 3D targets.
 
-    weighted=False switches the incremental update from time-weighted to
-    plain triangulation; initialization always uses the plain solve.
+    weighted=False switches every solve, a new target's first one included,
+    from time-weighted to plain triangulation.
     """
 
     def __init__(self, cameras: list[CameraView], cfg: TrackerConfig | None = None,
@@ -439,7 +443,6 @@ class CrossViewTracker:
         usable joint, as _affinity_core makes a pair without one impossible.
 
         Runs under step's np.errstate(all="ignore")."""
-        cfg = self.cfg
         self._last_match[rows] = np.maximum(self._last_match[rows], t)
         self._built_by[rows] = False
         p_i, kq = dvm[msel].nonzero()
@@ -450,10 +453,16 @@ class CrossViewTracker:
         self._obs_dlt[sq, kq, ci] = self._dlt_block(xy, ci)
         self._obs_t[sq, kq, ci] = t
         self._obs_conf[sq, kq, ci] = dconf[m_i, kq]
+        self._solve(sq, kq)
 
-        # Each freshly seen joint is solved from this camera's point plus the
-        # newest point from every other camera, minus anything past the
-        # staleness horizon. Never-seen cameras have time -inf, so infinite age.
+    def _solve(self, sq: np.ndarray, kq: np.ndarray):
+        """Triangulate joints kq of target rows sq from the newest point of
+        each camera that saw them, minus those past the staleness horizon of
+        the newest one, and store each answer at that one's time in the joint,
+        the history ring and the velocity. A joint left with fewer than two
+        views, or whose answer is at infinity, keeps its state. Never-seen
+        cameras have time -inf, so infinite age."""
+        cfg = self.cfg
         ot = self._obs_t[sq, kq]  # (Q, C)
         t_ref = ot.max(axis=1)
         age = t_ref[:, None] - ot
@@ -477,16 +486,15 @@ class CrossViewTracker:
             w2 = keep.astype(float)
         # the weighted normal matrix sum_c w_c^2 (r1 r1' + r2 r2')_c
         AtA = (w2[:, None] @ self._obs_dlt[sq, kq]).reshape(-1, 4, 4)
-        x, _ = null_directions(AtA, self._joint[sq, kq, :3])
-        ok = np.abs(x[:, 3]) >= 1e-12
+        X = triangulate(AtA, self._joint[sq, kq, :3])
+        ok = X[:, 0] == X[:, 0]
         if not ok.all():
-            sq, kq, t_ref, age, nkeep, x = (
-                sq[ok], kq[ok], t_ref[ok], age[ok], nkeep[ok], x[ok])
+            sq, kq, t_ref, age, nkeep, X = (
+                sq[ok], kq[ok], t_ref[ok], age[ok], nkeep[ok], X[ok])
             if sq.size == 0:
                 return
         # the solution and its time, as stored in both _joint and _hist
-        x[:, :3] /= x[:, 3:]
-        x[:, 3] = t_ref
+        x = np.concatenate([X, t_ref[:, None]], axis=1)
         self._dt_sum += float((age / nkeep[:, None]).sum())
         self._dt_count += sq.size
 
@@ -495,7 +503,8 @@ class CrossViewTracker:
         self._hist[sq, kq, n % self._ring.size] = x
         n += 1
         self._hist_n[sq, kq] = n
-        self._refresh_velocity(sq, kq, n)
+        if n.max() > 1:  # a first solution leaves the velocity zero, as set up
+            self._refresh_velocity(sq, kq, n)
 
     def _refresh_velocity(self, sq: np.ndarray, kq: np.ndarray, n: np.ndarray):
         """Least-squares velocity over each joint's newest min(n, W) samples,
@@ -549,36 +558,43 @@ class CrossViewTracker:
     def _initialize_targets(self) -> list[AssignmentRecord]:
         """Build targets from the pool's groups once it holds min_views_init
         entries from two cameras or more, stacking the pool for the call; a
-        stale matrix is recomputed."""
+        stale matrix is recomputed. The new targets' joints are solved as a
+        match solves them, and a group left with no solved joint builds no
+        target and stays in the pool."""
         pool = self._pool
         if len(pool) < self.cfg.min_views_init or pool[0].camera_id == pool[-1].camera_id:
             return []
         xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
-        cams = [d.camera_id for d in pool]
         if self._pool_a is None:
-            self._pool_a = epipolar_affinity_matrix(xy, vis, cams, self._ftable, self.cfg)
-        P = self._P[[self._cam_idx[c] for c in cams]]
-        found = cluster_pool(self._pool_a, P, xy, vis, self.cfg)
-        if not found:
+            self._pool_a = epipolar_affinity_matrix(
+                xy, vis, [d.camera_id for d in pool], self._ftable, self.cfg)
+        groups = cluster_pool(self._pool_a, self.cfg)
+        if not groups:
             return []
-        records: list[AssignmentRecord] = []
-        for c, X in found:
-            members = [pool[i] for i in c]
-            tgt = self._build_target(members, X, (xy[c], conf[c], vis[c]))
-            records.extend(AssignmentRecord(d.camera_id, d.timestamp, d.index, tgt.id)
-                           for d in members)
-        consumed = {i for c, _ in found for i in c}
+        L, n = len(self._ids), len(groups)
+        for s, c in enumerate(groups, L):
+            self._build_target(s, [pool[i] for i in c], (xy[c], conf[c], vis[c]))
+        sq, kq = (self._obs_t[L:L + n] > -np.inf).any(axis=2).nonzero()
+        self._solve(sq + L, kq)
+        built = ~np.isnan(self._joint[L:L + n, :, 3]).all(axis=1)
+        if not built.all():
+            self._keep_rows(np.concatenate([np.arange(L), L + built.nonzero()[0]]))
+            groups = [c for c, b in zip(groups, built) if b]
+        ids = range(self._next_id, self._next_id + len(groups))
+        self._next_id = ids.stop
+        self._ids.extend(ids)
+        records = [AssignmentRecord(pool[i].camera_id, pool[i].timestamp, pool[i].index, tid)
+                   for tid, c in zip(ids, groups) for i in c]
+        consumed = {i for c in groups for i in c}
         self._cut_pool([i for i in range(len(pool)) if i not in consumed])
         return records
 
-    def _build_target(self, members: list[Detection], X: np.ndarray,
-                      rows: tuple[np.ndarray, ...]) -> Target:
-        """A new target in the row after the last, at the points X (K, 3),
-        NaN where unsolved, holding every usable joint of its member
+    def _build_target(self, s: int, members: list[Detection],
+                      rows: tuple[np.ndarray, ...]):
+        """Set up row s, the one after the last in use, for a new target with
+        every joint unsolved, holding every usable joint of its member
         detections as observations; rows are the members' (xy, conf, vis)
-        from stack_detections."""
-        t_ref = max(d.timestamp for d in members)
-        s = len(self._ids)
+        from stack_detections. The state arrays double when full."""
         if s == len(self._joint):
             for name in self._ROW_ARRAYS:
                 a = getattr(self, name)
@@ -592,11 +608,6 @@ class CrossViewTracker:
         self._obs_conf[s] = 0.0
         self._hist_n[s] = 0
         self._built_by[s] = False
-        ks = (X[:, 0] == X[:, 0]).nonzero()[0]  # the solved joints
-        self._joint[s, ks, :3] = X[ks]
-        self._joint[s, ks, 3] = t_ref
-        self._hist[s, ks, 0] = self._joint[s, ks, :4]
-        self._hist_n[s, ks] = 1
         # one row per usable member joint; members come from distinct
         # cameras, so no two rows write the same observation
         xy, conf, vis = rows
@@ -608,12 +619,14 @@ class CrossViewTracker:
         self._obs_dlt[s, k, ci] = self._dlt_block(pts, ci)
         self._obs_t[s, k, ci] = np.array([d.timestamp for d in members])[m]
         self._obs_conf[s, k, ci] = conf[m, k]
-        self._last_match[s] = t_ref
+        self._last_match[s] = max(d.timestamp for d in members)
         self._built_by[s, cams] = True
-        tgt = Target(self, self._next_id, s)
-        self._next_id += 1
-        self._ids.append(tgt.id)
-        return tgt
+
+    def _keep_rows(self, keep: np.ndarray):
+        """Move the state rows keep, in order, to the top of the arrays."""
+        for name in self._ROW_ARRAYS:
+            a = getattr(self, name)
+            a[:keep.size] = a[keep]
 
     def _retire(self, now: float, ci: int, n_old: int) -> list[int]:
         """Retire the targets unmatched for over retire_after and the
@@ -628,9 +641,7 @@ class CrossViewTracker:
         if not gone.any():
             return []
         keep = (~gone).nonzero()[0]
-        for name in self._ROW_ARRAYS:
-            a = getattr(self, name)
-            a[:keep.size] = a[keep]
+        self._keep_rows(keep)
         ids = self._ids
         self._ids = [ids[r] for r in keep]
         return [ids[r] for r in gone.nonzero()[0]]

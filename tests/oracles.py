@@ -6,23 +6,24 @@ enumeration, per-joint triangulation, the per-pair target and epipolar
 affinities, the per-joint velocity regression and a per-joint view of the
 tracker's state, and the per-row wire format. Earlier, slower versions of
 the partition, the epipolar matrix and the DLT block pin the package's
-faster ones bit for bit. Nothing here imports from the
-package's solver paths; it takes only types, errors, constants and the
-small geometry helpers from it.
+faster ones bit for bit. The epipolar-line helpers and the pair dict of
+fundamental matrices, which only the tests use, live here too. Nothing here
+imports from the package's solver paths; it takes only types, errors,
+constants and the small geometry helpers from it.
 """
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
 from posefuse.affinity import EPS_CLOCK, ChronologyViolation
-from posefuse.geometry import CameraView, DegenerateLine, DegenerateProjection, \
-    epipolar_line, hom, point_to_line_distance
+from posefuse.geometry import CameraView, DegenerateProjection, \
+    fundamental_from_projections, hom
 from posefuse.io_cli import ParseError, _field, _loads, _parse_ts, _str_field, fmt_ts
-from posefuse.reconstruction import UnknownCamera
-from posefuse.tracker import Detection, FrameBatch
+from posefuse.tracker import Detection, FrameBatch, UnknownCamera
 
 
 def brute_force_assignment_total(a: np.ndarray) -> float:
@@ -46,6 +47,22 @@ def brute_force_assignment_total(a: np.ndarray) -> float:
         if best is None or cand > best:
             best = cand
     return best[1]
+
+
+def best_finite_matching(a: np.ndarray) -> tuple[int, Fraction]:
+    """Size and exact total of the best matchings of finite entries: the most
+    pairs first, then the highest total, over every assignment of min(N, M)
+    pairs with its -inf cells left out. Totals are exact rationals, so that
+    entries near the float limits neither overflow nor round."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    n, m = a.shape
+    best = (0, Fraction(0))
+    for perm in permutations(range(m), n):
+        cells = [a[r, c] for r, c in enumerate(perm) if a[r, c] != -math.inf]
+        best = max(best, (len(cells), sum(map(Fraction, cells), Fraction(0))))
+    return best
 
 
 def all_partitions(n: int):
@@ -500,6 +517,40 @@ def body_affinity(state, det, cam: CameraView, cfg) -> float:
     return total if terms else float("-inf")
 
 
+class DegenerateLine(ValueError):
+    """Epipolar line has no direction; the source point is the epipole."""
+
+
+def point_to_line_distance(x, line: np.ndarray) -> float:
+    """Distance from a 2D point to a normalized homogeneous line."""
+    return float(abs(line[0] * x[0] + line[1] * x[1] + line[2]))
+
+
+def epipolar_line(F: np.ndarray, x) -> np.ndarray:
+    """Map a pixel through F to the epipolar line in the other view.
+
+    The returned line is scaled so its normal (a, b) has unit length, which
+    makes point_to_line_distance a plain dot product.
+    """
+    l = F @ hom(np.asarray(x, dtype=float))
+    n = np.hypot(l[0], l[1])
+    if n < 1e-12:
+        raise DegenerateLine("point is the epipole; epipolar line undefined")
+    return l / n
+
+
+def fundamental_pairs(cams: list[CameraView]) -> dict[tuple[str, str], np.ndarray]:
+    """Every camera pair's fundamental matrix keyed (from_id, to_id), as
+    geometry.build_fundamental_table stacks them: fundamental_from_projections
+    for each pair in rig order, and its transpose for the reverse pair."""
+    pairs = {}
+    for i, a in enumerate(cams):
+        for b in cams[i + 1:]:
+            pairs[(a.id, b.id)] = fundamental_from_projections(a, b)
+            pairs[(b.id, a.id)] = pairs[(a.id, b.id)].T
+    return pairs
+
+
 def epipolar_affinity(d1, d2, F: np.ndarray, cfg) -> float:
     """Symmetric detection-to-detection affinity from epipolar distances.
 
@@ -543,7 +594,8 @@ def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
     """Reference for the package's epipolar_affinity_matrix, entry for entry
     under ==: the same arithmetic over the cross-camera pairs only, with
     fresh pair indices on every call, one distance call per direction and
-    one table lookup per ordered camera pair that occurs. Far-off pixels can
+    one lookup in fundamentals, a fundamental_pairs dict, per ordered camera
+    pair that occurs. Far-off pixels can
     raise numpy warnings here; callers that feed them suppress those."""
     n = len(xy)
     a = np.zeros((n, n))

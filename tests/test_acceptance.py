@@ -15,20 +15,19 @@ import pytest
 
 from helpers import random_rig
 from oracles import (best_partition_total, brute_force_assignment_total,
-                     partition_objective)
+                     epipolar_line, partition_objective, point_to_line_distance)
 from posefuse.affinity import TrackerConfig
 from posefuse.assignment import hungarian_max, partition_cycle_consistent
 from posefuse.cli import main
 from posefuse.evaluation import (association_accuracy, framerate_sweep,
                                  mot_metrics, pcp, project_step_roots,
                                  run_tracker)
-from posefuse.geometry import (build_fundamental_table, epipolar_line,
-                               fundamental_from_projections,
-                               point_to_line_distance, project)
+from posefuse.geometry import (build_fundamental_table,
+                               fundamental_from_projections, project)
 from posefuse.bench import bench_baseline, bench_scene, bench_tracker
-from posefuse.reconstruction import triangulate
 from posefuse.simulator import (ScenarioSpec, baseline_alg_s1, generate,
                                 synchronized_groups)
+from posefuse.tracker import triangulate
 
 pytestmark = pytest.mark.acceptance
 
@@ -85,8 +84,9 @@ def test_criterion_02_noiseless_geometry_recovery():
         cams = random_rig(rng, int(rng.integers(2, 7)))
         X = rng.uniform(-1.5, 1.5, size=3) * np.array([1.0, 1.0, 0.6])
         pix = [project(c, X) for c in cams]
-        got = triangulate(np.stack([c.P for c in cams]), np.array(pix)[:, None],
-                          np.ones((len(cams), 1), dtype=bool))[0]
+        # the plain DLT rows x * p3 - p1 and y * p3 - p2 of every view
+        C = np.concatenate([x[:, None] * c.P[2] - c.P[:2] for c, x in zip(cams, pix)])
+        got = triangulate((C.T @ C)[None], np.full((1, 3), np.nan))[0]
         worst_pt = max(worst_pt, float(np.linalg.norm(got - X)))
         F = fundamental_from_projections(cams[0], cams[1])
         line = epipolar_line(F, pix[0])

@@ -181,9 +181,8 @@ def test_epipolar_affinity_same_camera():
 def test_epipolar_affinity_matrix_matches_scalar():
     cams = [make_camera("a", (4.0, 0.0, 2.0)), make_camera("b", (0.0, 4.0, 2.0)),
             make_camera("c", (-4.0, 0.0, 2.0))]
-    from posefuse.geometry import build_fundamental_table
-
     table = build_fundamental_table(cams)
+    pairs = oracles.fundamental_pairs(cams)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, size=(2, 4, 3)) + np.array([0.0, 0.0, 1.2])
     dets, ids = [], []
@@ -200,7 +199,7 @@ def test_epipolar_affinity_matrix_matches_scalar():
             if ids[i] == ids[j]:
                 assert a[i, j] == float("-inf")
             else:
-                want = epipolar_affinity(dets[i], dets[j], table[(ids[i], ids[j])], CFG)
+                want = epipolar_affinity(dets[i], dets[j], pairs[(ids[i], ids[j])], CFG)
                 # the matrix sums in a different order than the scalar loop
                 if np.isfinite(want):
                     assert abs(a[i, j] - want) <= 1e-12
@@ -230,13 +229,14 @@ def test_epipolar_affinity_matrix_equals_the_reference_entry_for_entry():
     rng = np.random.default_rng(5)
     cams = random_rig(rng, 5)
     table = build_fundamental_table(cams)
+    pairs = oracles.fundamental_pairs(cams)
     kinds = np.zeros(3, dtype=int)
     # each pool size three times, so that the cached pair indices are reused,
     # and one pool past the cache's size limit
     for n in list(range(2, 14)) * 3 + [40]:
         xy, vis, ids = random_pool(rng, cams[:3 + n % 3], n)
         with np.errstate(all="ignore"):
-            want = oracles.epipolar_affinity_matrix(xy, vis, ids, table, CFG)
+            want = oracles.epipolar_affinity_matrix(xy, vis, ids, pairs, CFG)
         kinds += [np.isneginf(want).sum(), (want > 0).sum(), (want < -100).sum()]
         assert (epipolar_affinity_matrix(xy, vis, ids, table, CFG) == want).all(), n
     assert (kinds > 20).all()  # forbidden, likely and far-off pairs

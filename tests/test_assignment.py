@@ -1,5 +1,7 @@
 """Matching and partition tests against brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from posefuse.assignment import (
 from oracles import (
     all_partitions,
     bell_number,
+    best_finite_matching,
     best_partition_total,
     brute_force_assignment_total,
     partition_labels,
@@ -115,6 +118,27 @@ def test_hungarian_accepts_finite_entries_whose_total_overflows():
                     ([[big, big], [-np.inf, 0.0]], [(0, 0), (1, 1)]),
                     ([[-big, -big], [-np.inf, big]], [(0, 0), (1, 1)])]:
         assert hungarian_max(np.array(a)) == want, a
+
+
+def test_hungarian_matches_the_most_finite_pairs_then_the_best_total():
+    # entries up to the float limit, where a fixed stand-in for -inf is not
+    # below every finite matching; ties in a fifth of the matrices
+    cases = [np.array([[1e308, -np.inf], [1e308, -1e308]])]
+    rng = np.random.default_rng(16)
+    for trial in range(1000):
+        n, m = (int(x) for x in rng.integers(1, 6, size=2))
+        scale = (1.0, 1e15, 1e300, 1e308)[trial % 4]
+        a = rng.uniform(-1.0, 1.0, size=(n, m)) * scale
+        if trial % 5 == 0:
+            a = rng.integers(-2, 3, size=(n, m)) * (scale / 2)
+        a[rng.random((n, m)) < (trial % 3) * 0.3] = -np.inf
+        cases.append(a)
+    for a in cases:
+        pairs = hungarian_max(a)
+        size, best = best_finite_matching(a)
+        assert len(pairs) == size, a
+        got = sum((Fraction(a[r, c]) for r, c in pairs), Fraction(0))
+        assert abs(got - best) <= 1e-9 * np.abs(a[np.isfinite(a)]).max(initial=1.0), a
 
 
 def test_partition_hand_example():

@@ -6,20 +6,18 @@ import pytest
 from posefuse.geometry import (
     CameraView,
     CoincidentCenters,
-    DegenerateLine,
     DegenerateProjection,
     RankDeficientP,
     build_fundamental_table,
-    epipolar_line,
     fundamental_from_projections,
     hom,
-    point_to_line_distance,
     project,
     project_points,
 )
 
 from helpers import make_camera, random_camera
-from oracles import Ray3, back_project, point_to_ray_distance
+from oracles import DegenerateLine, Ray3, back_project, epipolar_line, fundamental_pairs, \
+    point_to_line_distance, point_to_ray_distance
 
 
 IDENTITY_P = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -186,12 +184,18 @@ def test_fundamental_properties(rng):
 def test_fundamental_table_is_transpose_consistent(rng):
     cams = [random_camera(rng, f"c{i}") for i in range(4)]
     table = build_fundamental_table(cams)
-    assert len(table) == 12
-    for a in cams:
-        for b in cams:
+    assert table.index == {c.id: i for i, c in enumerate(cams)}
+    assert table.stacked.shape == (32, 3, 3)
+    Ft, F = table.stacked.reshape(2, 4, 4, 3, 3)
+    pairs = fundamental_pairs(cams)
+    for i, a in enumerate(cams):
+        for j, b in enumerate(cams):
             if a.id == b.id:
+                assert not F[i, j].any() and not Ft[i, j].any()
                 continue
-            assert np.array_equal(table[(a.id, b.id)], table[(b.id, a.id)].T)
+            assert np.array_equal(F[i, j], F[j, i].T)
+            assert np.array_equal(Ft[i, j], F[i, j].T)
+            assert np.array_equal(F[i, j], pairs[(a.id, b.id)])
 
 
 def test_project_points_matches_scalar(rng):

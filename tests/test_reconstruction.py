@@ -1,13 +1,15 @@
 """Triangulation tests: exactness, weighting behavior, degeneracies.
 
-The scalar solvers from oracles are the references; the batched kernel
-that initialization and the baseline use must match them bit for bit."""
+The scalar solvers from oracles are the references; the baseline's batched
+plain solve, which stacks the rows and hands the normal matrices to the
+tracker's shared triangulate, must match them bit for bit."""
 
 import numpy as np
 import pytest
 
 from posefuse.geometry import CameraView, hom, project
-from posefuse.reconstruction import UnknownCamera, triangulate
+from posefuse.simulator import plain_pose
+from posefuse.tracker import UnknownCamera
 
 from helpers import make_camera, random_rig
 from oracles import (
@@ -199,7 +201,7 @@ def test_kernel_matches_per_joint_oracle_bit_for_bit():
         vis = gen.random((n, K)) < 0.7
         # a view that does not see a joint may still carry a finite point
         xy[~vis & (gen.random((n, K)) < 0.5)] = np.nan
-        got = triangulate(np.stack([c.P for c in cams]), xy, vis)
+        got = plain_pose(np.stack([c.P for c in cams]), xy, vis)
         for k in range(K):
             seen = np.flatnonzero(vis[:, k])
             want = np.full(3, np.nan)
@@ -217,12 +219,12 @@ def test_kernel_nan_for_one_view_and_parallel_rays():
     X = np.array([[0.1, 0.2, 1.3], [0.4, -0.3, 0.9]])
     xy = np.array([[project(c, x) for x in X] for c in cams])
     vis = np.array([[True, True], [True, False], [True, False]])
-    got = triangulate(np.stack([c.P for c in cams]), xy, vis)
+    got = plain_pose(np.stack([c.P for c in cams]), xy, vis)
     assert np.linalg.norm(got[0] - X[0]) < 1e-8
     assert np.isnan(got[1]).all()
     # two views one unit apart along x, both looking down +z at the
     # principal point: their rays are parallel
     P = np.stack([np.hstack([np.eye(3), np.zeros((3, 1))]),
                   np.hstack([np.eye(3), np.array([[-1.0], [0.0], [0.0]])])])
-    got = triangulate(P, np.zeros((2, 1, 2)), np.ones((2, 1), dtype=bool))
+    got = plain_pose(P, np.zeros((2, 1, 2)), np.ones((2, 1), dtype=bool))
     assert np.isnan(got).all()

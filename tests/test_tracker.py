@@ -14,10 +14,9 @@ from posefuse import tracker as tracker_mod
 from posefuse.affinity import ChronologyViolation, TrackerConfig, epipolar_affinity_matrix
 from posefuse.assignment import partition_cycle_consistent
 from posefuse.evaluation import mot_metrics, pcp, project_step_roots
-from posefuse.reconstruction import UnknownCamera, triangulate
 from posefuse.simulator import ScenarioSpec, generate
 from posefuse.tracker import AssignmentRecord, CrossViewTracker, Detection, FrameBatch, \
-    cluster_pool, null_directions, stack_detections
+    UnknownCamera, cluster_pool, null_directions, stack_detections
 
 import oracles
 from helpers import add_shifted_ghosts, make_camera
@@ -99,24 +98,68 @@ def test_initialization_is_exact_noiseless():
     assert got == {tr.targets[0].id}
 
 
+def weighted_group(dets, cams, cfg, use_confidence):
+    """(K, 3) pose of one group of detections: triangulate_joint_weighted per
+    joint over the usable views within retire_after of the newest one; NaN
+    rows where that raises."""
+    pose = np.full((dets[0].joints.shape[0], 3), np.nan)
+    for k in range(len(pose)):
+        use = [d for d in dets if d.confidences[k] >= cfg.min_joint_confidence
+               and np.isfinite(d.joints[k]).all()]
+        if len(use) < 2:
+            continue
+        t_ref = max(d.timestamp for d in use)
+        use = [d for d in use if t_ref - d.timestamp <= cfg.retire_after]
+        obs = JointObservationSet(tuple(d.camera_id for d in use),
+                                  [d.joints[k] for d in use],
+                                  [d.timestamp for d in use],
+                                  [d.confidences[k] for d in use])
+        try:
+            pose[k] = triangulate_joint_weighted(obs, cams, cfg.lambda_t,
+                                                 use_confidence).point
+        except (oracles.InsufficientViews, oracles.NearDegenerate):
+            continue
+    return pose
+
+
 def test_initialized_targets_match_per_joint_oracle():
     cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=5, duration=2.0,
                                             seed=37, noise_sigma=2.0, dropout=0.15))
-    tr = CrossViewTracker(cams)
-    built = []
-    build = tr._build_target
-
-    def spy(members, X, rows):
-        tg = build(members, X, rows)
-        built.append((members, tg.joint_xyz.copy()))
-        return tg
-
-    tr._build_target = spy
-    run_stream(tr, frames)
-    assert len(built) >= 3
-    for members, got in built:
-        want = triangulate_group(members, tr.cameras, tr.cfg.min_joint_confidence)
-        assert np.array_equal(got, want, equal_nan=True)
+    # a seeded per-detection scale makes the confidences differ across views
+    scale = np.random.default_rng(37)
+    frames = [FrameBatch(f.camera_id, f.timestamp, [
+        Detection(d.camera_id, d.timestamp, d.joints,
+                  d.confidences * scale.uniform(0.5, 1.0), d.index)
+        for d in f.detections]) for f in frames]
+    # the weighted solve under both confidence settings, and the plain one
+    for weighted, confidence_weighting in [(True, False), (True, True), (False, False)]:
+        cfg = TrackerConfig(confidence_weighting=confidence_weighting)
+        tr = CrossViewTracker(cams, cfg, weighted=weighted)
+        checked = 0
+        for f in frames:
+            # the detections that the step may build targets from
+            dets = {(d.camera_id, d.timestamp, d.index): d for d in
+                    [d for ds in tr.pool.values() for d in ds] + f.detections}
+            known = set(tr._ids)
+            out = tr.step(f)
+            for p in out.poses:
+                if p.id in known:
+                    continue
+                members = [dets[r.camera_id, r.timestamp, r.index]
+                           for r in out.assignments if r.target_id == p.id]
+                if weighted:
+                    want = weighted_group(members, tr.cameras, cfg, confidence_weighting)
+                else:
+                    want = triangulate_group(members, tr.cameras, cfg.min_joint_confidence)
+                assert np.array_equal(np.isnan(p.joints), np.isnan(want))
+                assert np.allclose(p.joints, want, atol=1e-9, equal_nan=True)
+                # each joint at the time of its newest view
+                assert all(t == max(d.timestamp for d in members
+                                    if d.confidences[k] >= cfg.min_joint_confidence
+                                    and np.isfinite(d.joints[k]).all())
+                           for k, t in enumerate(p.joint_times) if t == t)
+                checked += 1
+        assert checked >= 3, (weighted, confidence_weighting)
 
 
 def test_single_camera_never_initializes():
@@ -565,15 +608,10 @@ def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
         counts["partition"] += 1
         return partition_cycle_consistent(a, max_exact)
 
-    def checked_cluster_pool(a, P, xy, vis, cfg):
-        # the pool's rows as clustered are those of a fresh stack of the pool
-        dets = [d for ds in tr.pool.values() for d in ds]
-        want_xy, _, want_vis = stack_detections(dets, cfg.min_joint_confidence)
-        assert all(r.tobytes() == k.tobytes() and r.shape == k.shape
-                   and r.dtype == k.dtype for r, k in [(xy, want_xy), (vis, want_vis)])
-        assert (P == [tr.cameras[d.camera_id].P for d in dets]).all()
+    def checked_cluster_pool(a, cfg):
+        assert (a == fresh_matrix()).all()
         counts["cluster"] += 1
-        return cluster_pool(a, P, xy, vis, cfg)
+        return cluster_pool(a, cfg)
 
     monkeypatch.setattr(tracker_mod, "epipolar_affinity_matrix", checked_epipolar)
     monkeypatch.setattr(tracker_mod, "partition_cycle_consistent", checked_partition)
@@ -601,10 +639,9 @@ def test_built_targets_hold_what_a_per_member_write_gives(monkeypatch, weighted,
     build = CrossViewTracker._build_target
     views = Counter()
 
-    def checked_build(self, members, *args):
+    def checked_build(self, s, members, rows):
         before = self._obs_dlt.copy()
-        tgt = build(self, members, *args)
-        s = tgt.slot
+        build(self, s, members, rows)
         K, C = self.K, len(self._cam_ids)
         xy, t = np.zeros((K, C, 2)), np.full((K, C), -np.inf)
         conf = np.zeros((K, C))
@@ -620,12 +657,51 @@ def test_built_targets_hold_what_a_per_member_write_gives(monkeypatch, weighted,
         assert (self._obs_xy[s] == xy).all() and (self._obs_t[s] == t).all()
         assert (self._obs_conf[s] == conf).all() and (self._obs_dlt[s] == dlt).all()
         views[len(members)] += 1
-        return tgt
 
     monkeypatch.setattr(CrossViewTracker, "_build_target", checked_build)
     for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=4):
         tr.step(f)
     assert sum(views.values()) >= 3 and min(views) == min_views_init
+
+
+def test_a_group_left_unsolved_builds_no_target_and_uses_no_id(monkeypatch):
+    cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=4, duration=1.0,
+                                            seed=5, noise_sigma=1.0))
+    ref, tr = CrossViewTracker(cams), CrossViewTracker(cams)
+    solve = CrossViewTracker._solve
+    dropped = []
+
+    def unsolved_first_group(self, sq, kq):
+        # a solve of new rows only is a frame's new targets; leave the first
+        # of two or more groups with no solved joint
+        if self is tr and not dropped and (sq >= len(self._ids)).all() \
+                and np.unique(sq).size >= 2:
+            dropped.append(sq.min())
+            keep = sq != sq.min()
+            sq, kq = sq[keep], kq[keep]
+        solve(self, sq, kq)
+
+    monkeypatch.setattr(CrossViewTracker, "_solve", unsolved_first_group)
+    for f in frames:
+        want, got = ref.step(f), tr.step(f)
+        if dropped:
+            break
+        assert [p.id for p in got.poses] == [p.id for p in want.poses]
+    assert dropped and len(want.poses) >= 2
+    # the first group's target is missing; the others take its id onward
+    first = want.poses[0].id
+    assert [p.id for p in got.poses] == list(range(first, first + len(want.poses) - 1))
+    assert all(np.array_equal(g.joints, w.joints, equal_nan=True)
+               and np.array_equal(g.joint_times, w.joint_times, equal_nan=True)
+               for g, w in zip(got.poses, want.poses[1:]))
+    # its members stay in the pool, and the records name the others' new ids
+    lost = {(r.camera_id, r.timestamp, r.index) for r in want.assignments
+            if r.target_id == first}
+    pooled = {(d.camera_id, d.timestamp, d.index) for ds in tr.pool.values() for d in ds}
+    assert lost and lost <= pooled
+    assert [r.target_id for r in got.assignments] == [
+        r.target_id - 1 for r in want.assignments if r.target_id != first]
+    assert tr._next_id == ref._next_id - 1
 
 
 def pool_of(frames, n_cameras):
@@ -638,31 +714,21 @@ def pool_of(frames, n_cameras):
     return [d for cid in sorted(first) for d in first[cid]]
 
 
-def full_partition(dets, cameras, a, cfg):
+def full_partition(a, cfg):
     """cluster_pool's answer with the partition always run on matrix a."""
-    xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
-    found = []
-    for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters():
-        if len(c) >= cfg.min_views_init:
-            X = triangulate(np.stack([cameras[dets[i].camera_id].P for i in c]),
-                            xy[c], vis[c])
-            if not np.isnan(X[:, 0]).all():
-                found.append((c, X))
-    return found
+    return [c for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters()
+            if len(c) >= cfg.min_views_init]
 
 
 @pytest.mark.parametrize("min_views_init", [2, 3])
 def test_cluster_pool_equals_the_full_partition_on_random_pools(monkeypatch,
                                                                  min_views_init):
-    cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=4, duration=0.2,
-                                            seed=43, noise_sigma=1.0))
+    _, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=4, duration=0.2,
+                                         seed=43, noise_sigma=1.0))
     dets = pool_of(frames, 4)
-    cameras = {c.id: c for c in cams}
     cfg = TrackerConfig(min_views_init=min_views_init)
     n = len(dets)
     same = np.array([[a.camera_id == b.camera_id for b in dets] for a in dets])
-    xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
-    P = np.stack([cameras[d.camera_id].P for d in dets])
     rng = np.random.default_rng(43)
     partitions = Counter()
     monkeypatch.setattr(tracker_mod, "partition_cycle_consistent",
@@ -683,18 +749,15 @@ def test_cluster_pool_equals_the_full_partition_on_random_pools(monkeypatch,
         a[same] = -np.inf
         np.fill_diagonal(a, 0.0)
         before = partitions["run"]
-        got = cluster_pool(a, P, xy, vis, cfg)
-        want = full_partition(dets, cameras, a, cfg)
-        assert [c for c, _ in got] == [c for c, _ in want]
-        assert all(np.array_equal(x, y, equal_nan=True)
-                   for (_, x), (_, y) in zip(got, want))
+        got = cluster_pool(a, cfg)
+        assert got == full_partition(a, cfg)
         off = ~np.eye(n, dtype=bool)
         if (a[off] < 0).all():
             skipped += 1
             assert partitions["run"] == before and got == []
         else:
             assert partitions["run"] == before + 1
-            if not (a[off] > 0).any() and want:
+            if not (a[off] > 0).any() and got:
                 zero_merged += 1  # only zero gains, yet a group came back
     assert skipped >= 5 and zero_merged >= 1
 
