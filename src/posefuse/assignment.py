@@ -32,8 +32,8 @@ def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
         # n pairs of finite entries up to S in size differ by at most 2 n S in
         # total, so trading a finite pair for `low` always loses; scaling by a
         # power of two, which changes no comparison, keeps `low` finite
-        S = max((abs(x) for row in raw for x in row if x != -math.inf), default=0.0)
-        s = math.ldexp(1.0, min(0, 1000 - math.frexp(S)[1]))
+        S = max([abs(x) for row in raw for x in row if x != -math.inf], default=0.0)
+        s = math.ldexp(1.0, 1000 - math.frexp(S)[1]) if S > 2.0 ** 1000 else 1.0
         low = -(2 * len(raw) + 1) * (S * s) - 1.0
         score = [[low if x == -math.inf else x * s for x in row] for row in raw]
     pairs = [(i, j) for i, j in enumerate(_assign_max(score, len(raw), len(raw[0])))

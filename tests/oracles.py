@@ -347,22 +347,29 @@ def triangulate_joint_weighted(obs: JointObservationSet, cams: dict[str, CameraV
     return _finish(C * w[:, None], obs, cams)
 
 
-def triangulate_group(dets, cams: dict[str, CameraView],
-                      min_confidence: float) -> np.ndarray:
-    """(K, 3) pose of one group of detections: triangulate_joint per joint
-    over the detections whose joint is finite and at least min_confidence;
-    NaN rows where that raises."""
+def triangulate_group(dets, cams: dict[str, CameraView], min_confidence: float,
+                      lambda_t: float | None = None, use_confidence: bool = False,
+                      horizon: float = math.inf) -> np.ndarray:
+    """(K, 3) pose of one group of detections, per joint over the detections
+    whose joint is finite and at least min_confidence: triangulate_joint, or,
+    given lambda_t, triangulate_joint_weighted over those within horizon of
+    the newest one; NaN rows where that raises."""
     pose = np.full((dets[0].joints.shape[0], 3), np.nan)
     for k in range(len(pose)):
         use = [d for d in dets if d.confidences[k] >= min_confidence
                and np.isfinite(d.joints[k]).all()]
+        if lambda_t is not None and use:
+            t_ref = max(d.timestamp for d in use)
+            use = [d for d in use if t_ref - d.timestamp <= horizon]
         if len(use) < 2:
             continue
         obs = JointObservationSet(tuple(d.camera_id for d in use),
                                   [d.joints[k] for d in use],
-                                  [d.timestamp for d in use])
+                                  [d.timestamp for d in use],
+                                  [d.confidences[k] for d in use])
         try:
-            pose[k] = triangulate_joint(obs, cams).point
+            pose[k] = (triangulate_joint(obs, cams) if lambda_t is None else
+                       triangulate_joint_weighted(obs, cams, lambda_t, use_confidence)).point
         except (InsufficientViews, NearDegenerate):
             continue
     return pose

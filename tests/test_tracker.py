@@ -98,30 +98,6 @@ def test_initialization_is_exact_noiseless():
     assert got == {tr.targets[0].id}
 
 
-def weighted_group(dets, cams, cfg, use_confidence):
-    """(K, 3) pose of one group of detections: triangulate_joint_weighted per
-    joint over the usable views within retire_after of the newest one; NaN
-    rows where that raises."""
-    pose = np.full((dets[0].joints.shape[0], 3), np.nan)
-    for k in range(len(pose)):
-        use = [d for d in dets if d.confidences[k] >= cfg.min_joint_confidence
-               and np.isfinite(d.joints[k]).all()]
-        if len(use) < 2:
-            continue
-        t_ref = max(d.timestamp for d in use)
-        use = [d for d in use if t_ref - d.timestamp <= cfg.retire_after]
-        obs = JointObservationSet(tuple(d.camera_id for d in use),
-                                  [d.joints[k] for d in use],
-                                  [d.timestamp for d in use],
-                                  [d.confidences[k] for d in use])
-        try:
-            pose[k] = triangulate_joint_weighted(obs, cams, cfg.lambda_t,
-                                                 use_confidence).point
-        except (oracles.InsufficientViews, oracles.NearDegenerate):
-            continue
-    return pose
-
-
 def test_initialized_targets_match_per_joint_oracle():
     cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=5, duration=2.0,
                                             seed=37, noise_sigma=2.0, dropout=0.15))
@@ -147,10 +123,9 @@ def test_initialized_targets_match_per_joint_oracle():
                     continue
                 members = [dets[r.camera_id, r.timestamp, r.index]
                            for r in out.assignments if r.target_id == p.id]
-                if weighted:
-                    want = weighted_group(members, tr.cameras, cfg, confidence_weighting)
-                else:
-                    want = triangulate_group(members, tr.cameras, cfg.min_joint_confidence)
+                want = triangulate_group(members, tr.cameras, cfg.min_joint_confidence,
+                                         cfg.lambda_t if weighted else None,
+                                         confidence_weighting, cfg.retire_after)
                 assert np.array_equal(np.isnan(p.joints), np.isnan(want))
                 assert np.allclose(p.joints, want, atol=1e-9, equal_nan=True)
                 # each joint at the time of its newest view
