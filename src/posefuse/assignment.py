@@ -14,13 +14,45 @@ def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
     Rectangular inputs match min(N, M) pairs. Entries of -inf are never part
     of the result; their rows/columns simply stay unmatched, as few as a
     matching of finite entries allows. NaN or +inf entries raise ValueError.
-    Pairs come sorted by row.
+    Pairs come sorted by row. When the rows' first maxima (the columns',
+    for a tall matrix) are finite and lie in distinct columns, and no finite
+    entry exceeds 2**1000 in size, they are the answer, taken without the
+    full solve.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return []
     tall = a.shape[1] < a.shape[0]
-    raw = (a.T if tall else a).tolist()
+    m = a.T if tall else a
+    raw = m.tolist()
+    # the first maximum of each row; argmax finds a row's NaN before any number
+    cols = m.argmax(axis=1).tolist()
+    if len(set(cols)) == len(cols) and _first_scans_settle(raw, cols):
+        pairs = list(enumerate(cols))
+    else:
+        pairs = _solve_in_full(raw)
+    return sorted((r, c) for c, r in pairs) if tall else pairs
+
+
+# finite entries up to this size in magnitude are solved unscaled
+_UNSCALED = 2.0 ** 1000
+
+
+def _first_scans_settle(raw: list[list[float]], cols: list[int]) -> bool:
+    """Whether the full solve matches each row i of raw to its first maximum
+    cols[i], given distinct cols. It does when each of these maxima is
+    finite and no finite entry exceeds _UNSCALED in magnitude: then no entry
+    is NaN or +inf, the solve's scores are the entries with -inf below every
+    finite one, and in _assign_max each row's first scan, with the duals
+    still 0, picks the column of its first maximum, which is still free."""
+    return all(-_UNSCALED <= row[j] <= _UNSCALED for row, j in zip(raw, cols)) \
+        and not any(-math.inf < x < -_UNSCALED for row in raw for x in row)
+
+
+def _solve_in_full(raw: list[list[float]]) -> list[tuple[int, int]]:
+    """The (row, column) pairs of finite entries in _assign_max's answer on
+    rows raw, no more rows than columns; -inf entries go in as a finite
+    stand-in that every matching of finite entries beats."""
     score = raw
     # a finite total means every entry is finite, which is the common case;
     # a total of -inf rules out NaN and +inf, and any other total may also
@@ -33,12 +65,11 @@ def hungarian_max(a: np.ndarray) -> list[tuple[int, int]]:
         # total, so trading a finite pair for `low` always loses; scaling by a
         # power of two, which changes no comparison, keeps `low` finite
         S = max([abs(x) for row in raw for x in row if x != -math.inf], default=0.0)
-        s = math.ldexp(1.0, 1000 - math.frexp(S)[1]) if S > 2.0 ** 1000 else 1.0
+        s = math.ldexp(1.0, 1000 - math.frexp(S)[1]) if S > _UNSCALED else 1.0
         low = -(2 * len(raw) + 1) * (S * s) - 1.0
         score = [[low if x == -math.inf else x * s for x in row] for row in raw]
-    pairs = [(i, j) for i, j in enumerate(_assign_max(score, len(raw), len(raw[0])))
-             if raw[i][j] != -math.inf]
-    return sorted((r, c) for c, r in pairs) if tall else pairs
+    return [(i, j) for i, j in enumerate(_assign_max(score, len(raw), len(raw[0])))
+            if raw[i][j] != -math.inf]
 
 
 def _assign_max(score: list[list[float]], nr: int, nc: int) -> list[int]:

@@ -211,6 +211,8 @@ def write_calibration(cams: list[CameraView], path: str) -> None:
 
 # the [x, y, confidence] row of a joint that is null or has a non-finite x or y
 _MISSING_JOINT = (math.nan, math.nan, 0.0)
+# the types of the JSON numbers that the one-conversion path takes
+_NUMBER_TYPES = {int, float}
 
 
 def parse_frame_line(line: str, path: str, lineno: int,
@@ -222,7 +224,9 @@ def parse_frame_line(line: str, path: str, lineno: int,
     The values of all detections go into one flat list, which becomes one
     (M, K, 3) array of [x, y, confidence] rows; each Detection holds views
     of its rows. A joint that is null or has a non-finite x or y is a NaN
-    row with confidence 0.
+    row with confidence 0. A frame whose joints are all null or three JSON
+    numbers, with finite confidences, is converted by one np.array call;
+    any other goes through a checked loop, which raises the ParseError.
 
     Where orjson accepts a line, every number it holds passes through
     float() and comes out as from json, so only a line that orjson rejects
@@ -244,6 +248,56 @@ def _frame(obj: dict, n_joints: int | None) -> FrameBatch:
         raise ParseError("field 'detections' must be a list")
     if not raw_dets:
         return FrameBatch(cid, t, [])
+    rows = _joint_block(raw_dets, n_joints)
+    if rows is None:
+        rows = _checked_joint_rows(raw_dets, n_joints)
+    return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
+                               for i, r in enumerate(rows)])
+
+
+def _joint_block(raw_dets: list, n_joints: int | None) -> np.ndarray | None:
+    """The (M, K, 3) rows of detections raw_dets when each one's joints are
+    a list of K entries, K being n_joints when given, and each entry is null
+    or a list of three JSON numbers (not booleans) within the float range,
+    the third of them finite; None otherwise. The rows are those that
+    _checked_joint_rows gives: np.array stores float() of each number."""
+    flat: list = []
+    n_null = 0
+    for rd in raw_dets:
+        joints = rd.get("joints") if type(rd) is dict else None
+        if type(joints) is not list:
+            return None
+        if n_joints is None:
+            n_joints = len(joints)
+        if len(joints) != n_joints or not n_joints:
+            return None
+        for entry in joints:
+            if entry is None:
+                flat += _MISSING_JOINT
+                n_null += 1
+            elif type(entry) is list and len(entry) == 3:
+                flat += entry
+            else:
+                return None
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    try:
+        rows = np.array(flat, dtype=float).reshape(len(raw_dets), n_joints, 3)
+    except OverflowError:  # an integer past the float range
+        return None
+    finite = np.isfinite(rows)
+    # when the null joints' rows hold the only non-finite values, no row
+    # needs a change
+    if np.count_nonzero(finite) != finite.size - 2 * n_null:
+        if not finite[..., 2].all():
+            return None
+        rows[~(finite[..., 0] & finite[..., 1])] = _MISSING_JOINT
+    return rows
+
+
+def _checked_joint_rows(raw_dets: list, n_joints: int | None) -> np.ndarray:
+    """The (M, K, 3) rows of detections raw_dets, checked and converted one
+    joint at a time; raises ParseError at the first malformed one."""
     isfinite = math.isfinite
     flat: list[float] = []
     for i, rd in enumerate(raw_dets):
@@ -274,9 +328,7 @@ def _frame(obj: dict, n_joints: int | None) -> FrameBatch:
                 raise ParseError(f"detection {i} joint {j}: confidence "
                                  f"{entry[2]!r} is not finite")
             flat += (x, y, c) if isfinite(x) and isfinite(y) else _MISSING_JOINT
-    rows = np.array(flat).reshape(len(raw_dets), n_joints, 3)
-    return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
-                               for i, r in enumerate(rows)])
+    return np.array(flat).reshape(len(raw_dets), n_joints, 3)
 
 
 def iter_detections(f, path: str):
@@ -329,31 +381,38 @@ def track_record(step: StepResult) -> dict:
     """The wire record of one step: targets in id order, each joint [X, Y, Z]
     or None, each joint time a timestamp string or None.
 
-    The poses' joints and joint times are checked for finiteness and turned
-    into Python values in one pass each. Each distinct joint time is
-    formatted once; the times are keyed by their bits, as -0.0 and 0.0 are
-    equal keys that print differently."""
-    poses = sorted(step.poses, key=lambda p: p.id)
+    The step's points are checked for finiteness and turned into Python
+    values in one pass each for the joints and the times. Each distinct
+    joint time is formatted once; the times are keyed by their bits, as
+    -0.0 and 0.0 are equal keys that print differently."""
+    ids = step.ids
     targets = []
-    plain = all(isinstance(p.id, int) for p in poses)
-    if poses:
-        xyz = np.concatenate([p.joints for p in poses], dtype=float)
-        jt = np.concatenate([p.joint_times for p in poses], dtype=float)
-        finite = np.isfinite(xyz).all(axis=1)
-        joints = _finite_rows(xyz, finite)
-        plain = plain and _plain_floats(xyz[finite])
+    plain = all(isinstance(tid, int) for tid in ids)
+    if ids:
+        pts = np.asarray(step.points, dtype=float)
+        if ids != sorted(ids):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, pts = [ids[i] for i in order], pts[order]
+        K = pts.shape[1]
+        xyz = pts[:, :, :3].reshape(-1, 3)
+        finite = np.isfinite(xyz)
+        if np.count_nonzero(finite) == finite.size:
+            joints = xyz.tolist()
+        else:
+            finite = finite.all(axis=1)
+            joints = _finite_rows(xyz, finite)
+            xyz = xyz[finite]
+        plain = plain and _plain_floats(xyz)
+        jt = pts[:, :, 3].ravel()
         bits = jt.view(np.int64).tolist()
         isfinite = math.isfinite
         text = {b: fmt_ts(t) if isfinite(t) else None
                 for b, t in dict(zip(bits, jt.tolist())).items()}
         times = list(map(text.__getitem__, bits))
-        a = b = 0
-        for p in poses:
-            n, m = len(p.joints), len(p.joint_times)
-            targets.append({"id": p.id, "joints": joints[a:a + n],
-                            "joint_times": times[b:b + m]})
-            a += n
-            b += m
+        for i, tid in enumerate(ids):
+            a = i * K
+            targets.append({"id": tid, "joints": joints[a:a + K],
+                            "joint_times": times[a:a + K]})
     return (_Plain if plain else dict)(timestamp=fmt_ts(step.timestamp),
                                        targets=targets)
 

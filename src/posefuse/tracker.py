@@ -121,6 +121,9 @@ def _settled(B: np.ndarray, x: np.ndarray, gap: np.ndarray):
     return x, np.sqrt(np.einsum("nij,nij->n", r, r)) < _CONV_TOL * (gap / rho - rho)
 
 
+_F8 = np.dtype(float)
+
+
 @dataclass
 class Detection:
     """One person candidate in one camera frame.
@@ -137,8 +140,13 @@ class Detection:
     index: int = 0
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=float).reshape(-1, 2)
-        self.confidences = np.asarray(self.confidences, dtype=float).reshape(-1)
+        # float arrays of the right shape, as parse_frame_line makes, are kept
+        j, c = self.joints, self.confidences
+        if not (type(j) is np.ndarray and j.dtype == _F8 and j.ndim == 2
+                and j.shape[1] == 2):
+            self.joints = np.asarray(j, dtype=float).reshape(-1, 2)
+        if not (type(c) is np.ndarray and c.dtype == _F8 and c.ndim == 1):
+            self.confidences = np.asarray(c, dtype=float).reshape(-1)
 
 
 @dataclass
@@ -194,11 +202,22 @@ class TargetPose:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One step's outcome. The live targets after it are ids, in output
+    order, and points (L, K, 4): each joint's x, y, z and the time of that
+    solution, NaN while unsolved; points is a copy, which later steps leave
+    as it is."""
+
     camera_id: str
     timestamp: float
-    poses: list[TargetPose]
+    ids: list[int]
+    points: np.ndarray
     assignments: list[AssignmentRecord]
     retired: list[int]
+
+    @property
+    def poses(self) -> list[TargetPose]:
+        """The live targets in output order, as views of points."""
+        return [TargetPose(tid, p[:, :3], p[:, 3]) for tid, p in zip(self.ids, self.points)]
 
 
 class Target:
@@ -337,19 +356,16 @@ class CrossViewTracker:
             for r, c in accepted:
                 records.append(AssignmentRecord(cid, dets[c].timestamp,
                                                 dets[c].index, self._ids[r]))
-        taken = {c for _, c in accepted}
-        unmatched = [d for c, d in enumerate(dets) if c not in taken]
-        if unmatched:
-            self._add_to_pool(cid, unmatched)
+        if len(accepted) < len(dets):
+            taken = {c for _, c in accepted}
+            self._add_to_pool(cid, [d for c, d in enumerate(dets) if c not in taken])
 
         records.extend(self._initialize_targets())
         retired = self._retire(t, ci, n_old)
-        poses = []
-        L = len(self._ids)
-        if L:
-            J = self._joint[:L].copy()  # a view would change under later steps
-            poses = [TargetPose(tid, j[:, :3], j[:, 3]) for tid, j in zip(self._ids, J)]
-        return StepResult(cid, t, poses, records, retired)
+        # copies, as later steps change both in place
+        points = (np.zeros((0, 0, 4)) if self.K is None
+                  else self._joint[:len(self._ids), :, :4].copy())
+        return StepResult(cid, t, self._ids.copy(), points, records, retired)
 
     def finish(self) -> list[AssignmentRecord]:
         """Flush pool leftovers as unmatched at end of stream."""
@@ -463,16 +479,18 @@ class CrossViewTracker:
         views, or whose answer is at infinity, keeps its state. Never-seen
         cameras have time -inf, so infinite age."""
         cfg = self.cfg
-        ot = self._obs_t[sq, kq]  # (Q, C)
+        C = len(self._cam_ids)
+        q = sq * self.K + kq  # the (row, joint) pairs as flat indices
+        ot = self._obs_t.reshape(-1, C).take(q, axis=0)  # (Q, C)
         t_ref = ot.max(axis=1)
         age = t_ref[:, None] - ot
         keep = age <= cfg.retire_after
         nkeep = keep.sum(axis=1)
         if nkeep.min() < 2:
             solve = nkeep >= 2
-            sq, kq, t_ref, age, keep, nkeep = (
-                sq[solve], kq[solve], t_ref[solve], age[solve], keep[solve],
-                nkeep[solve])
+            q, sq, kq, t_ref, age, keep, nkeep = (
+                q[solve], sq[solve], kq[solve], t_ref[solve], age[solve],
+                keep[solve], nkeep[solve])
             if sq.size == 0:
                 return
         age = np.where(keep, age, 0.0)
@@ -481,16 +499,17 @@ class CrossViewTracker:
         if self.weighted:
             w2 = np.exp(-2.0 * cfg.lambda_t * age) * keep
             if cfg.confidence_weighting:
-                w2 *= self._obs_conf[sq, kq] ** 2
+                w2 *= self._obs_conf.reshape(-1, C).take(q, axis=0) ** 2
         else:
             w2 = keep.astype(float)
         # the weighted normal matrix sum_c w_c^2 (r1 r1' + r2 r2')_c
-        AtA = (w2[:, None] @ self._obs_dlt[sq, kq]).reshape(-1, 4, 4)
-        X = triangulate(AtA, self._joint[sq, kq, :3])
+        dlt = self._obs_dlt.reshape(-1, C, 16).take(q, axis=0)
+        AtA = (w2[:, None] @ dlt).reshape(-1, 4, 4)
+        X = triangulate(AtA, self._joint.reshape(-1, 7).take(q, axis=0)[:, :3])
         ok = X[:, 0] == X[:, 0]
         if not ok.all():
-            sq, kq, t_ref, age, nkeep, X = (
-                sq[ok], kq[ok], t_ref[ok], age[ok], nkeep[ok], X[ok])
+            q, sq, kq, t_ref, age, nkeep, X = (
+                q[ok], sq[ok], kq[ok], t_ref[ok], age[ok], nkeep[ok], X[ok])
             if sq.size == 0:
                 return
         # the solution and its time, as stored in both _joint and _hist
@@ -499,19 +518,22 @@ class CrossViewTracker:
         self._dt_count += sq.size
 
         self._joint[sq, kq, :4] = x
-        n = self._hist_n[sq, kq]
-        self._hist[sq, kq, n % self._ring.size] = x
+        n = self._hist_n.reshape(-1).take(q)
+        W = self._ring.size
+        self._hist[sq, kq, n % W] = x
         n += 1
         self._hist_n[sq, kq] = n
         if n.max() > 1:  # a first solution leaves the velocity zero, as set up
-            self._refresh_velocity(sq, kq, n)
+            self._refresh_velocity(sq, kq, q, n)
 
-    def _refresh_velocity(self, sq: np.ndarray, kq: np.ndarray, n: np.ndarray):
+    def _refresh_velocity(self, sq: np.ndarray, kq: np.ndarray, q: np.ndarray,
+                          n: np.ndarray):
         """Least-squares velocity over each joint's newest min(n, W) samples,
-        n being how many solutions it has had."""
-        hist = self._hist[sq, kq]  # (Q, W, 4)
-        ts = hist[..., 3]
+        n being how many solutions it has had; q holds the flat indices
+        sq * K + kq."""
         W = self._ring.size
+        hist = self._hist.reshape(-1, W, 4).take(q, axis=0)  # (Q, W, 4)
+        ts = hist[..., 3]
         if n.min() < W:  # ring entries past a young joint's n hold no sample
             n = np.minimum(n, W)[:, None]
             m = self._ring < n
@@ -636,10 +658,13 @@ class CrossViewTracker:
         L = len(self._ids)
         if not L:
             return []
-        gone = now - self._last_match[:L] > self.cfg.retire_after
-        gone[:n_old] |= self._built_by[:n_old, ci]
-        if not gone.any():
+        last, built = self._last_match[:L], self._built_by[:n_old, ci]
+        # now - x never rises as x grows, so when the oldest match is within
+        # the horizon, all are
+        if now - last.min() <= self.cfg.retire_after and not built.any():
             return []
+        gone = now - last > self.cfg.retire_after
+        gone[:n_old] |= built
         keep = (~gone).nonzero()[0]
         self._keep_rows(keep)
         ids = self._ids

@@ -27,6 +27,37 @@ def total_of(pairs, a):
     return sum(a[r, c] for r, c in pairs)
 
 
+@pytest.fixture
+def full_solves(monkeypatch):
+    """The calls of hungarian_max that ran the full solve, one entry each;
+    the others took the rows' first maxima at once."""
+    calls = []
+    solve = assignment._solve_in_full
+
+    def counted(raw):
+        calls.append(len(raw))
+        return solve(raw)
+
+    monkeypatch.setattr(assignment, "_solve_in_full", counted)
+    return calls
+
+
+def solved_in_full(a):
+    """hungarian_max's pairs as the full solve finds them."""
+    tall = a.shape[1] < a.shape[0]
+    pairs = assignment._solve_in_full((a.T if tall else a).tolist())
+    return sorted((r, c) for c, r in pairs) if tall else pairs
+
+
+def distinct_first_maxima(rng, n, m, scale):
+    """An n x m matrix whose rows (columns, when tall) have their first
+    maxima in distinct columns (rows)."""
+    k, w = min(n, m), max(n, m)
+    a = rng.uniform(-1.0, 1.0, size=(k, w)) * scale
+    a[np.arange(k), rng.permutation(w)[:k]] = scale
+    return a if n <= m else a.T
+
+
 def test_hungarian_hand_example():
     a = np.array([[5.0, 1.0], [2.0, 3.0]])
     pairs = hungarian_max(a)
@@ -77,29 +108,38 @@ def test_hungarian_empty():
     assert hungarian_max(np.zeros((3, 0))) == []
 
 
-def test_hungarian_pairs_equal_scipy_ties_included():
+def test_hungarian_pairs_equal_scipy_ties_included(full_solves):
     # scipy serves only as an oracle here: the solver ports its loop order,
-    # so even among tied optima it must pick the same pairs
+    # so even among tied optima it must pick the same pairs, whether it takes
+    # the rows' first maxima at once or runs the full solve
     lsa = pytest.importorskip("scipy.optimize").linear_sum_assignment
     rng = np.random.default_rng(2016)
-    for trial in range(12000):
+    solved_at_once = 0
+    for trial in range(18000):
         n, m = (int(x) for x in rng.integers(1, 9, size=2))
-        kind = trial % 4
+        kind = trial % 6
         if kind == 0:
             a = rng.normal(size=(n, m))
         elif kind == 1:
             a = rng.integers(-2, 3, size=(n, m)).astype(float)
         elif kind == 2:
             a = rng.integers(0, 2, size=(n, m)).astype(float)
-        else:
+        elif kind == 3:
             a = np.full((n, m), float(rng.integers(-3, 4)))
+        elif kind == 4:
+            a = distinct_first_maxima(rng, n, m, 1.0)
+        else:  # 0.0 and -0.0 tie
+            a = rng.choice([0.0, -0.0, -1.0], size=(n, m))
         if trial % 3 == 0:
             a[rng.random((n, m)) < 0.3] = -np.inf
         forbidden = a == -np.inf
         rows, cols = lsa(np.where(forbidden, -1e15, a), maximize=True)
         keep = ~forbidden[rows, cols]
         want = list(zip(rows[keep].tolist(), cols[keep].tolist()))
+        before = len(full_solves)
         assert hungarian_max(a) == want, a
+        solved_at_once += len(full_solves) == before
+    assert 3000 < solved_at_once < 15000
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -120,25 +160,50 @@ def test_hungarian_accepts_finite_entries_whose_total_overflows():
         assert hungarian_max(np.array(a)) == want, a
 
 
-def test_hungarian_matches_the_most_finite_pairs_then_the_best_total():
+def test_hungarian_matches_the_most_finite_pairs_then_the_best_total(full_solves):
     # entries up to the float limit, where a fixed stand-in for -inf is not
-    # below every finite matching; ties in a fifth of the matrices
-    cases = [np.array([[1e308, -np.inf], [1e308, -1e308]])]
+    # below every finite matching; ties in a fifth of the matrices. Half the
+    # matrices have their rows' first maxima in distinct columns, which
+    # hungarian_max takes at once unless an entry exceeds 2**1000 in size;
+    # its pairs must be the full solve's either way.
+    big = 2.0 ** 1000
+    cases = [np.array([[1e308, -np.inf], [1e308, -1e308]]),
+             np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([[-0.0, 0.0, -1.0]]).T,
+             np.array([[1.0, -2.0 * big], [-np.inf, 2.0]]),
+             # scaled to keep the entries within 2**1000, -5e-324 becomes
+             # -0.0, which ties with 0.0 and comes first
+             np.array([[-5e-324, 0.0, -2.0 ** 10 * big], [-np.inf, -np.inf, 1.0]]),
+             np.array([[-5e-324, -np.inf], [0.0, -np.inf], [-2.0 ** 10 * big, 1.0]])]
     rng = np.random.default_rng(16)
-    for trial in range(1000):
+    for trial in range(2000):
         n, m = (int(x) for x in rng.integers(1, 6, size=2))
         scale = (1.0, 1e15, 1e300, 1e308)[trial % 4]
         a = rng.uniform(-1.0, 1.0, size=(n, m)) * scale
         if trial % 5 == 0:
             a = rng.integers(-2, 3, size=(n, m)) * (scale / 2)
-        a[rng.random((n, m)) < (trial % 3) * 0.3] = -np.inf
+        if trial % 2:
+            a = distinct_first_maxima(rng, n, m, scale)
+        a[(rng.random((n, m)) < (trial % 3) * 0.3) & (trial % 2 == 0 or a < scale)] = -np.inf
+        if trial % 7 == 0:
+            a[rng.integers(n), rng.integers(m)] = -1.5 * big
         cases.append(a)
+    solved_at_once = 0
     for a in cases:
+        before = len(full_solves)
         pairs = hungarian_max(a)
+        solved_at_once += len(full_solves) == before
+        assert pairs == solved_in_full(a), a
         size, best = best_finite_matching(a)
         assert len(pairs) == size, a
         got = sum((Fraction(a[r, c]) for r, c in pairs), Fraction(0))
         assert abs(got - best) <= 1e-9 * np.abs(a[np.isfinite(a)]).max(initial=1.0), a
+        # a NaN or +inf entry anywhere still raises
+        for bad in (np.nan, np.inf):
+            b = a.copy()
+            b[rng.integers(b.shape[0]), rng.integers(b.shape[1])] = bad
+            with pytest.raises(ValueError, match="invalid numeric entries"):
+                hungarian_max(b)
+    assert 600 < solved_at_once < len(cases) - 600
 
 
 def test_partition_hand_example():

@@ -22,8 +22,7 @@ from posefuse.affinity import TrackerConfig
 from posefuse.cli import main
 from posefuse.geometry import CameraView, RankDeficientP
 from posefuse.simulator import N_JOINTS, InvalidSpec, ScenarioSpec, generate
-from posefuse.tracker import AssignmentRecord, CrossViewTracker, FrameBatch, StepResult, \
-    TargetPose
+from posefuse.tracker import AssignmentRecord, CrossViewTracker, FrameBatch, StepResult
 
 
 def scene(**kw):
@@ -157,12 +156,19 @@ def test_truth_round_trip_is_byte_identical(tmp_path):
             assert np.array_equal(pa[pid], pb[pid])
 
 
+def block_step(t, poses, camera_id="c"):
+    """A StepResult holding (id, joints (K, 3), joint times (K,)) poses."""
+    points = np.zeros((0, 0, 4))
+    if poses:
+        points = np.array([np.column_stack((xyz, jt)) for _, xyz, jt in poses])
+    return StepResult(camera_id, t, [tid for tid, _, _ in poses], points, [], [])
+
+
 def rewrite_tracks(rows, path):
     with open(path, "w", encoding="utf-8") as f:
         for r in rows:
-            poses = [TargetPose(tid, r.targets[tid], r.joint_times[tid])
-                     for tid in sorted(r.targets)]
-            rec = io_cli.track_record(StepResult("", r.timestamp, poses, [], []))
+            poses = [(tid, r.targets[tid], r.joint_times[tid]) for tid in sorted(r.targets)]
+            rec = io_cli.track_record(block_step(r.timestamp, poses, ""))
             f.write(io_cli.dumps(rec) + "\n")
 
 
@@ -181,16 +187,15 @@ def test_tracks_round_trip_is_byte_identical(tmp_path):
 
 # One StepResult and one detection line with their wire forms written out by
 # hand, so that a change of the format shows here whatever BLAS computes.
-GOLDEN_STEP = StepResult("cam01", 2.04, [
-    TargetPose(9, np.array([[0.1, -0.0, 1.5], [math.nan, 2.0, 3.0],
-                            [1e16, 5e-324, -2.5e-7]]),
-               np.array([2.04, math.nan, 1.999999999])),
-    TargetPose(4, np.array([[math.inf, 0.0, 1.0], [-1.25, 0.75, 1.0 / 3.0]]),
-               np.array([-0.0, 0.0])),
-], [], [])
+GOLDEN_STEP = block_step(2.04, [
+    (9, np.array([[0.1, -0.0, 1.5], [math.nan, 2.0, 3.0], [1e16, 5e-324, -2.5e-7]]),
+     np.array([2.04, math.nan, 1.999999999])),
+    (4, np.array([[math.inf, 0.0, 1.0], [-1.25, 0.75, 1.0 / 3.0], [0.0, -1.0, 2.0]]),
+     np.array([-0.0, 0.0, 2.04])),
+], "cam01")
 GOLDEN_TRACK_LINE = (
-    '{"targets":[{"id":4,"joint_times":["-0.000000000","0.000000000"],'
-    '"joints":[null,[-1.25,0.75,0.3333333333333333]]},'
+    '{"targets":[{"id":4,"joint_times":["-0.000000000","0.000000000","2.040000000"],'
+    '"joints":[null,[-1.25,0.75,0.3333333333333333],[0.0,-1.0,2.0]]},'
     '{"id":9,"joint_times":["2.040000000",null,"1.999999999"],'
     '"joints":[[0.1,-0.0,1.5],null,[1e+16,5e-324,-2.5e-07]]}],'
     '"timestamp":"2.040000000"}')
@@ -243,12 +248,11 @@ def test_track_record_matches_per_row_oracle_on_edge_cases():
                      [1e16, -1e16, 123456789.125], [0.1, 0.2, 0.3]])
     times = np.array([0.0, -0.0, nan, 1e-10, -1e-10, 12.5, 12.5])
     steps = [
-        StepResult("c", 0.0, [], [], []),
-        StepResult("c", -0.0, [TargetPose(5, rows, times),
-                               TargetPose(2, rows[::-1], times[::-1]),
-                               TargetPose(3, rows[:2], times[:1])], [], []),
-        StepResult("c", 12.5, [TargetPose(1, rows[:3], np.array([nan] * 3)),
-                               TargetPose(0, np.empty((0, 3)), np.empty(0))], [], []),
+        block_step(0.0, []),
+        block_step(-0.0, [(5, rows, times), (2, rows[::-1], times[::-1])]),
+        block_step(12.5, [(1, rows[:3], np.array([nan] * 3)), (0, rows[4:], times[4:])]),
+        block_step(1.0, [(3, np.empty((0, 3)), np.empty(0)),
+                         (7, np.empty((0, 3)), np.empty(0))]),
     ]
     for s in steps:
         assert_track_record_matches_oracle(s)
@@ -260,12 +264,20 @@ BAD_JOINTS = [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], "1,2,3", {"x": 1.0}, 7,
               [10 ** 400, 2.0, 0.5], [1.0, 2.0, math.nan], [1.0, 2.0, "-inf"]]
 
 
-def fuzz_number(rng, v):
-    """v as a float, an int, a numeric string (bare or padded) or a boolean."""
-    form = rng.integers(5)
+# integers that orjson reads as 64-bit integers, as floats, or not at all
+HUGE_INTS = [2 ** 63, 2 ** 70, 10 ** 400]
+
+
+def fuzz_number(rng, v, forms=5):
+    """v as a float, an int (one in ten of them past 2**63 or past the float
+    range), a numeric string (bare or padded) or a boolean; with forms=2,
+    only as a float or an int."""
+    form = rng.integers(forms)
     if form == 0:
         return v
     if form == 1:
+        if rng.random() < 0.1:
+            return int(v) + HUGE_INTS[rng.integers(len(HUGE_INTS))]
         return int(v)
     if form == 2:
         return repr(v)
@@ -274,29 +286,32 @@ def fuzz_number(rng, v):
     return bool(int(v) % 2)
 
 
-def fuzz_joint(rng, bad_rate):
+def fuzz_joint(rng, bad_rate, forms):
     u = rng.random()
     if u < bad_rate:
         return BAD_JOINTS[rng.integers(len(BAD_JOINTS))]
     if u < 0.2:
         return None
-    entry = [fuzz_number(rng, v) for v in (rng.uniform(-50.0, 700.0),
-                                           rng.uniform(-50.0, 700.0),
-                                           rng.uniform(0.0, 1.0))]
+    entry = [fuzz_number(rng, v, forms) for v in (rng.uniform(-50.0, 700.0),
+                                                  rng.uniform(-50.0, 700.0),
+                                                  rng.uniform(0.0, 1.0))]
     if rng.random() < 0.15:
         entry[rng.integers(2)] = NON_FINITE[rng.integers(len(NON_FINITE))]
     return entry
 
 
-def fuzz_frame_line(rng):
+def fuzz_frame_line(rng, plain_rate=0.0):
     """A detection line and its usual joint count; about one line in three
-    may carry a malformed joint, and a rare detection has one joint too many."""
+    may carry a malformed joint, a rare detection has one joint too many,
+    and in a share plain_rate of the lines every joint value is a JSON
+    number but for the non-finite ones."""
     bad_rate = 0.05 if rng.random() < 0.3 else 0.0
+    forms = 2 if rng.random() < plain_rate else 5
     k = int(rng.integers(1, 5))
     dets = []
     for _ in range(rng.integers(0, 5)):
         kk = k + 1 if rng.random() < 0.01 else k
-        dets.append({"joints": [fuzz_joint(rng, bad_rate) for _ in range(kk)]})
+        dets.append({"joints": [fuzz_joint(rng, bad_rate, forms) for _ in range(kk)]})
     t = rng.uniform(0.0, 100.0)
     return json.dumps({"camera_id": f"cam{rng.integers(3):02d}",
                        "timestamp": "%.9f" % t if rng.random() < 0.5 else t,
@@ -310,14 +325,43 @@ def parse_outcome(parse, line, n_joints):
         return str(e)
 
 
-def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines():
+def holds_bool_or_string(line):
+    """Whether a joint of the line lists a boolean or a string among its values."""
+    return any(type(v) in (bool, str) for d in json.loads(line)["detections"]
+               for e in d["joints"] if isinstance(e, list) for v in e)
+
+
+def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(monkeypatch):
+    # each call of _frame takes the one-conversion path or the checked loop
+    paths = []
+    block, checked = io_cli._joint_block, io_cli._checked_joint_rows
+
+    def spy_block(raw_dets, n_joints):
+        rows = block(raw_dets, n_joints)
+        if rows is not None:
+            paths.append("block")
+        return rows
+
+    def spy_checked(raw_dets, n_joints):
+        paths.append("checked")
+        return checked(raw_dets, n_joints)
+
+    monkeypatch.setattr(io_cli, "_joint_block", spy_block)
+    monkeypatch.setattr(io_cli, "_checked_joint_rows", spy_checked)
     rng = np.random.default_rng(5)
     parsed = failed = 0
+    taken = {"block": 0, "checked": 0}
     for _ in range(3000):
-        line, k = fuzz_frame_line(rng)
+        line, k = fuzz_frame_line(rng, plain_rate=0.3)
         n_joints = None if rng.random() < 0.5 else k + int(rng.random() < 0.02)
+        paths.clear()
         got = parse_outcome(io_cli.parse_frame_line, line, n_joints)
         want = parse_outcome(oracles.parse_frame_line, line, n_joints)
+        for p in set(paths):
+            taken[p] += 1
+        # a boolean or a numeric string converts only through float()
+        if holds_bool_or_string(line):
+            assert "block" not in paths, line
         if isinstance(want, str):
             failed += 1
             assert got == want
@@ -325,6 +369,7 @@ def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines():
         parsed += 1
         assert_same_frame(got, want)
     assert parsed > 2000 and failed > 200
+    assert taken["block"] > 250 and taken["checked"] > 1000, taken
 
 
 def assert_same_frame(got, want):
@@ -384,8 +429,8 @@ def random_track_step(rng, kind):
     a single value just outside what it may write ("near"), or one that
     draws from every kind of value ("any")."""
     poses = []
+    n = int(rng.integers(1, 6))
     for _ in range(rng.integers(1 if kind == "near" else 0, 4)):
-        n = int(rng.integers(1, 6))
         if kind == "any":
             xyz = random_doubles(rng, 3 * n, 1e-320, 1e300)
             odd = rng.random(3 * n) < 0.3
@@ -401,13 +446,13 @@ def random_track_step(rng, kind):
         times = rng.choice([0.0, -0.0, math.nan, 2.5, rng.uniform(-1e3, 1e3)], n)
         ids = INTS_PAST_64 if kind == "any" and rng.random() < 0.5 else INTS_64
         tid = ids[rng.integers(len(ids))] if rng.random() < 0.5 else int(rng.integers(1000))
-        poses.append(TargetPose(tid, xyz, times))
+        poses.append((tid, xyz, times))
     if kind == "near":
-        xyz = poses[rng.integers(len(poses))].joints
+        xyz = poses[rng.integers(len(poses))][1]
         r = rng.integers(len(xyz))
         xyz[r] = random_doubles(rng, 3, 1e-4, 1e16)
         xyz[r, rng.integers(3)] = NEAR_FLOATS[rng.integers(len(NEAR_FLOATS))]
-    return StepResult("cam00", float(rng.uniform(0.0, 100.0)), poses, [], [])
+    return block_step(float(rng.uniform(0.0, 100.0)), poses, "cam00")
 
 
 def random_assignment(rng, plain):

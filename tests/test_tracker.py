@@ -424,8 +424,11 @@ def test_unconfirmed_target_retires_at_a_creating_cameras_next_frame():
     # a camera that did not build it has not seen the person either way
     out = tr.step(FrameBatch(c.camera_id, c.timestamp, []))
     assert out.retired == [] and [p.id for p in out.poses] == [tid]
-    # a camera that built it looks again and misses it
-    out = tr.step(FrameBatch(a.camera_id, c.timestamp + 0.01, []))
+    # a camera that built it looks again and misses it; no target is stale,
+    # which must not spare it
+    t = c.timestamp + 0.01
+    assert t - tr.targets[0].last_matched <= tr.cfg.retire_after
+    out = tr.step(FrameBatch(a.camera_id, t, []))
     assert out.retired == [tid]
     assert tr.targets == [] and out.poses == []
 
@@ -440,10 +443,22 @@ def test_matched_target_retires_only_after_retire_after():
     assert [r.target_id for r in out.assignments] == [tg.id]
     last = tg.last_matched
     ids = [c.id for c in cams]
+    # the latest time at which the target is retire_after old, exactly
+    edge = last + tr.cfg.retire_after
+    while edge - last > tr.cfg.retire_after:
+        edge = float(np.nextafter(edge, -np.inf))
+    assert edge - last == tr.cfg.retire_after
     retired_at = None
     for j in range(1, 100):
         t = last + 0.02 * j
-        out = tr.step(FrameBatch(ids[j % 3], t, []))
+        if t > edge >= last + 0.02 * (j - 1):
+            # at the edge it stays, and the next step, past it, retires it
+            out = tr.step(FrameBatch(ids[(j + 1) % 3], edge, []))
+            assert out.retired == [] and out.ids == [tg.id]
+            out = tr.step(FrameBatch(ids[j % 3], t, []))
+            assert out.retired == [tg.id]
+        else:
+            out = tr.step(FrameBatch(ids[j % 3], t, []))
         if out.retired:
             retired_at = t
             break
