@@ -121,9 +121,6 @@ def _settled(B: np.ndarray, x: np.ndarray, gap: np.ndarray):
     return x, np.sqrt(np.einsum("nij,nij->n", r, r)) < _CONV_TOL * (gap / rho - rho)
 
 
-_F8 = np.dtype(float)
-
-
 @dataclass
 class Detection:
     """One person candidate in one camera frame.
@@ -140,13 +137,8 @@ class Detection:
     index: int = 0
 
     def __post_init__(self):
-        # float arrays of the right shape, as parse_frame_line makes, are kept
-        j, c = self.joints, self.confidences
-        if not (type(j) is np.ndarray and j.dtype == _F8 and j.ndim == 2
-                and j.shape[1] == 2):
-            self.joints = np.asarray(j, dtype=float).reshape(-1, 2)
-        if not (type(c) is np.ndarray and c.dtype == _F8 and c.ndim == 1):
-            self.confidences = np.asarray(c, dtype=float).reshape(-1)
+        self.joints = np.asarray(self.joints, dtype=float).reshape(-1, 2)
+        self.confidences = np.asarray(self.confidences, dtype=float).reshape(-1)
 
 
 @dataclass

@@ -331,8 +331,10 @@ def holds_bool_or_string(line):
                for e in d["joints"] if isinstance(e, list) for v in e)
 
 
-def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(monkeypatch):
-    # each call of _frame takes the one-conversion path or the checked loop
+@pytest.fixture
+def parse_paths(monkeypatch):
+    """The path that each call of _frame takes, "block" for the
+    one-conversion path or "checked" for the checked loop, in call order."""
     paths = []
     block, checked = io_cli._joint_block, io_cli._checked_joint_rows
 
@@ -348,20 +350,24 @@ def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(monkeypatch):
 
     monkeypatch.setattr(io_cli, "_joint_block", spy_block)
     monkeypatch.setattr(io_cli, "_checked_joint_rows", spy_checked)
+    return paths
+
+
+def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(parse_paths):
     rng = np.random.default_rng(5)
     parsed = failed = 0
     taken = {"block": 0, "checked": 0}
     for _ in range(3000):
         line, k = fuzz_frame_line(rng, plain_rate=0.3)
         n_joints = None if rng.random() < 0.5 else k + int(rng.random() < 0.02)
-        paths.clear()
+        parse_paths.clear()
         got = parse_outcome(io_cli.parse_frame_line, line, n_joints)
         want = parse_outcome(oracles.parse_frame_line, line, n_joints)
-        for p in set(paths):
+        for p in set(parse_paths):
             taken[p] += 1
         # a boolean or a numeric string converts only through float()
         if holds_bool_or_string(line):
-            assert "block" not in paths, line
+            assert "block" not in parse_paths, line
         if isinstance(want, str):
             failed += 1
             assert got == want
@@ -544,6 +550,25 @@ def random_double_line(rng):
     joints = [vals[i:i + 3] for i in range(0, 24, 3)]
     return json.dumps({"camera_id": "cam01", "timestamp": "%.9f" % rng.uniform(0, 9),
                        "detections": [{"joints": joints[:4]}, {"joints": joints[4:]}]})
+
+
+def test_parse_frame_line_matches_per_joint_oracle_on_crafted_and_double_lines(parse_paths):
+    # doubles of every magnitude down to subnormals, integers up to 2**80,
+    # and numbers past the float range or its precision
+    rng = np.random.default_rng(29)
+    doubles = [random_double_line(rng) for _ in range(500)]
+    for i, line in enumerate(CRAFTED_LINES + doubles):
+        for n_joints in (None, 2, 4):
+            parse_paths.clear()
+            got = parse_outcome(io_cli.parse_frame_line, line, n_joints)
+            want = parse_outcome(oracles.parse_frame_line, line, n_joints)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert_same_frame(got, want)
+            # a double line's detections have four joints each
+            if i >= len(CRAFTED_LINES) and n_joints != 2:
+                assert parse_paths == ["block"], line
 
 
 def test_parse_frame_line_decodes_as_the_stdlib_path():
