@@ -57,18 +57,18 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
     """Unit null directions (N, 4) of (N, 4, 4) homogeneous normal matrices.
 
     Each answer is the unit eigenvector x of the smallest eigenvalue l0 of
-    its system, with an arbitrary sign. Inverse iteration runs three steps
+    its system, with an arbitrary sign. Inverse iteration runs five steps
     from the previous point X_prev (N, 3) on B, the system scaled to unit
     trace, multiplying by adj(B) = det(B) B^-1, which stays finite when B is
-    singular, so no shift is needed. The answer counts as converged when the
-    residual bound sin(angle to the true eigenvector) <= |Bx - rho x| /
-    (l1 - rho) is below 1e-12, with rho = x'Bx >= l0 and the next eigenvalue
-    l1 >= 4 det(B) / rho, which holds because l0 <= rho and
-    l2 l3 <= (tr(B) / 2)^2 = 1/4. Noisy views leave l0 / l1 near 1e-3, where
-    three steps end just short of the bound, so the systems with a finite
-    X_prev that fail it get two more steps and the same test. Systems whose
-    X_prev is not finite, and systems still unsettled, are solved by eigh,
-    at once when no X_prev is finite, as for a new target.
+    singular, so no shift is needed; the five are taken in one pass, as
+    adj^2 (adj^2 (adj x)), since noisy views leave l0 / l1 near 1e-3, where
+    three steps end just short of the bound below. The answer counts as
+    converged when the residual bound sin(angle to the true eigenvector) <=
+    |Bx - rho x| / (l1 - rho) is below 1e-12, with rho = x'Bx >= l0 and the
+    next eigenvalue l1 >= 4 det(B) / rho, which holds because l0 <= rho and
+    l2 l3 <= (tr(B) / 2)^2 = 1/4. Systems whose X_prev is not finite, and
+    systems left unsettled, are solved by eigh, at once when no X_prev is
+    finite, as for a new target.
 
     Returns the directions and a mask of the systems that inverse iteration
     settled.
@@ -83,16 +83,9 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
         adj = (t[0] - t[1] + t[2]).T.reshape(N, 4, 4)
         x = np.ones((N, 4, 1))
         x[:, :3, 0] = X_prev  # NaN rows stay NaN and fail the test below
-        x = adj @ (adj @ (adj @ x))
-        gap = 4.0 * np.einsum("nj,nj->n", B[:, 0], adj[:, 0])
-        x, conv = _settled(B, x, gap)
-        if not conv.all():
-            more = np.flatnonzero(~conv & np.isfinite(X_prev).all(axis=1))
-            if more.size:
-                adj_m = adj[more]
-                x_m, conv[more] = _settled(B[more], adj_m @ (adj_m @ x[more]),
-                                           gap[more])
-                x[more] = x_m
+        adj2 = adj @ adj
+        x = adj2 @ (adj2 @ (adj @ x))
+        x, conv = _settled(B, x, 4.0 * np.einsum("nj,nj->n", B[:, 0], adj[:, 0]))
     x = x[:, :, 0]
     if not conv.all():
         cold = np.flatnonzero(~conv)
@@ -268,6 +261,8 @@ class CrossViewTracker:
         # addition
         self._pool: list[Detection] = []
         self._pool_a: np.ndarray | None = None
+        # set while the pool is the one that last clustered into no group
+        self._pool_idle = False
         self.K: int | None = None
         self._last_t: dict[str, float] = {}
         self._next_id = 0
@@ -559,6 +554,7 @@ class CrossViewTracker:
         only on its pair."""
         pool = self._pool
         self._pool = [pool[i] for i in keep]
+        self._pool_idle = False
         if self._pool_a is not None:
             self._pool_a = self._pool_a[keep][:, keep]
 
@@ -568,23 +564,30 @@ class CrossViewTracker:
         at = bisect_left(self._pool, cid, key=attrgetter("camera_id"))
         self._pool[at:at] = dets
         self._pool_a = None
+        self._pool_idle = False
 
     def _initialize_targets(self) -> list[AssignmentRecord]:
         """Build targets from the pool's groups once it holds min_views_init
-        entries from two cameras or more, stacking the pool for the call; a
-        stale matrix is recomputed. The new targets' joints are solved as a
-        match solves them, and a group left with no solved joint builds no
-        target and stays in the pool."""
+        entries from two cameras or more; a stale matrix is recomputed. A pool
+        that clustered into no group is not clustered again until it changes,
+        as the answer depends only on its matrix. The new targets' joints are
+        solved as a match solves them, and a group left with no solved joint
+        builds no target and stays in the pool."""
         pool = self._pool
-        if len(pool) < self.cfg.min_views_init or pool[0].camera_id == pool[-1].camera_id:
+        if self._pool_idle or len(pool) < self.cfg.min_views_init \
+                or pool[0].camera_id == pool[-1].camera_id:
             return []
-        xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
-        if self._pool_a is None:
+        stale = self._pool_a is None
+        if stale:
+            xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
             self._pool_a = epipolar_affinity_matrix(
                 xy, vis, [d.camera_id for d in pool], self._ftable, self.cfg)
         groups = cluster_pool(self._pool_a, self.cfg)
         if not groups:
+            self._pool_idle = True
             return []
+        if not stale:
+            xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
         L, n = len(self._ids), len(groups)
         for s, c in enumerate(groups, L):
             self._build_target(s, [pool[i] for i in c], (xy[c], conf[c], vis[c]))

@@ -618,6 +618,48 @@ def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
     assert counts["cluster"] >= counts["partition"]
 
 
+class AlwaysClustering(CrossViewTracker):
+    """A tracker that clusters its pool whenever it is large enough, never
+    knowing that the same pool found no group before."""
+
+    _pool_idle = property(lambda self: False, lambda self, idle: None)
+
+
+def test_an_unchanged_pool_is_clustered_once(monkeypatch):
+    spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=2,
+                        noise_sigma=1.0)
+    cams, frames, _ = generate(spec)
+    frames = add_shifted_ghosts(frames, spec.image_size, 0.5, seed=2)
+
+    def run(tr):
+        """Each step's outcome, the end-of-stream records, and each
+        cluster_pool call's pool with whether it found a group."""
+        calls = []
+
+        def spy(a, cfg):
+            groups = cluster_pool(a, cfg)
+            calls.append(([(d.camera_id, d.timestamp, d.index) for d in tr._pool],
+                          bool(groups)))
+            return groups
+
+        monkeypatch.setattr(tracker_mod, "cluster_pool", spy)
+        return [tr.step(f) for f in frames], tr.finish(), calls
+
+    got, got_tail, got_calls = run(CrossViewTracker(cams))
+    want, want_tail, every = run(AlwaysClustering(cams))
+    # one call per distinct pool: a call is left out only where the call
+    # before it saw the same pool and found no group
+    once = [c for i, c in enumerate(every)
+            if not (i and every[i - 1] == (c[0], False))]
+    assert got_calls == once
+    assert len(every) - len(once) >= 10 and any(g for _, g in once)
+    for g, w in zip(got, want, strict=True):
+        assert g.ids == w.ids and g.retired == w.retired
+        assert g.assignments == w.assignments
+        assert np.array_equal(g.points, w.points, equal_nan=True)
+    assert got_tail == want_tail
+
+
 @pytest.mark.parametrize("weighted, min_views_init", [(True, 2), (False, 2), (True, 3)])
 def test_built_targets_hold_what_a_per_member_write_gives(monkeypatch, weighted,
                                                           min_views_init):
@@ -848,7 +890,7 @@ def test_null_directions_paths_match_weighted_triangulation():
 
     near = ref + 1e-3  # warm start at the previous point: converges
     cold = np.full_like(ref, np.nan)  # no previous point: eigh
-    # (X_prev, 1) orthogonal to the answer (ref, 1): three steps cannot
+    # (X_prev, 1) orthogonal to the answer (ref, 1): five steps cannot
     # settle, and the residual test sends every system to eigh
     far = -ref / (ref * ref).sum(axis=1, keepdims=True)
     for start, settles in ((near, True), (cold, False), (far, False)):
@@ -888,9 +930,14 @@ def test_null_directions_settle_noisy_warm_systems_without_eigh():
                 refs.append(ref)
             prev[k] = ref
     assert len(refs) >= 1000
-    x, conv = null_directions(np.array(systems), np.array(starts))
+    AtA = np.array(systems)
+    x, conv = null_directions(AtA, np.array(starts))
     assert conv.mean() >= 0.99
     assert np.allclose(x[:, :3] / x[:, 3:], np.array(refs), atol=1e-9)
+    # the settled directions are eigh's up to sign
+    e = np.linalg.eigh(AtA)[1][:, :, 0]
+    e *= np.sign(np.einsum("ni,ni->n", x, e))[:, None]
+    assert np.abs(x - e).max() <= 1e-12
 
 
 def test_velocity_matches_history_regression_reference():

@@ -129,7 +129,7 @@ def main(argv: list[str]) -> int:
                     outs = [os.path.join(d, "out") for d in dirs]
                     worst, other_ids, n = track_gap(
                         *(os.path.join(o, "tracks.jsonl") for o in outs))
-                    print(f"  tracks: largest joint displacement {worst:.6f} m; "
+                    print(f"  tracks: largest joint displacement {worst:.3g} m; "
                           + (f"target ids differ in {other_ids} of {n} rows" if other_ids
                              else "the same target ids in every row"))
                     before, after = (scores(dirs[0], o) for o in outs)
