@@ -384,8 +384,7 @@ def track_record(step: StepResult) -> dict:
     The step's points are checked for finiteness and turned into Python
     values in one pass each for the joints and the times. Each distinct
     joint time is formatted once; the times are keyed by their bits, as
-    -0.0 and 0.0 are equal keys that print differently, and when all have
-    the same bits, as after most steps, the one text is repeated."""
+    -0.0 and 0.0 are equal keys that print differently."""
     ids = step.ids
     targets = []
     plain = all(isinstance(tid, int) for tid in ids)
@@ -406,14 +405,10 @@ def track_record(step: StepResult) -> dict:
         plain = plain and _plain_floats(xyz)
         jt = pts[:, :, 3].ravel()
         bits = jt.view(np.int64).tolist()
-        if bits and bits.count(bits[0]) == len(bits):
-            t = float(jt[0])
-            times = [fmt_ts(t) if math.isfinite(t) else None] * len(bits)
-        else:
-            isfinite = math.isfinite
-            text = {b: fmt_ts(t) if isfinite(t) else None
-                    for b, t in dict(zip(bits, jt.tolist())).items()}
-            times = list(map(text.__getitem__, bits))
+        isfinite = math.isfinite
+        text = {b: fmt_ts(t) if isfinite(t) else None
+                for b, t in dict(zip(bits, jt.tolist())).items()}
+        times = list(map(text.__getitem__, bits))
         for i, tid in enumerate(ids):
             a = i * K
             targets.append({"id": tid, "joints": joints[a:a + K],

@@ -60,15 +60,14 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
     its system, with an arbitrary sign. Inverse iteration runs five steps
     from the previous point X_prev (N, 3) on B, the system scaled to unit
     trace, multiplying by adj(B) = det(B) B^-1, which stays finite when B is
-    singular, so no shift is needed; the five are taken in one pass, as
-    adj^2 (adj^2 (adj x)), since noisy views leave l0 / l1 near 1e-3, where
-    three steps end just short of the bound below. The answer counts as
-    converged when the residual bound sin(angle to the true eigenvector) <=
-    |Bx - rho x| / (l1 - rho) is below 1e-12, with rho = x'Bx >= l0 and the
-    next eigenvalue l1 >= 4 det(B) / rho, which holds because l0 <= rho and
-    l2 l3 <= (tr(B) / 2)^2 = 1/4. Systems whose X_prev is not finite, and
-    systems left unsettled, are solved by eigh, at once when no X_prev is
-    finite, as for a new target.
+    singular, so no shift is needed; five, because noisy views leave l0 / l1
+    near 1e-3, where three steps end just short of the bound below. The
+    answer counts as converged when the residual bound sin(angle to the true
+    eigenvector) <= |Bx - rho x| / (l1 - rho) is below 1e-12, with
+    rho = x'Bx >= l0 and the next eigenvalue l1 >= 4 det(B) / rho, which
+    holds because l0 <= rho and l2 l3 <= (tr(B) / 2)^2 = 1/4. Systems whose
+    X_prev is not finite, and systems left unsettled, are solved by eigh, at
+    once when no X_prev is finite, as for a new target.
 
     Returns the directions and a mask of the systems that inverse iteration
     settled.
@@ -83,8 +82,7 @@ def null_directions(AtA: np.ndarray, X_prev: np.ndarray) -> tuple[np.ndarray, np
         adj = (t[0] - t[1] + t[2]).T.reshape(N, 4, 4)
         x = np.ones((N, 4, 1))
         x[:, :3, 0] = X_prev  # NaN rows stay NaN and fail the test below
-        adj2 = adj @ adj
-        x = adj2 @ (adj2 @ (adj @ x))
+        x = adj @ (adj @ (adj @ (adj @ (adj @ x))))
         x, conv = _settled(B, x, 4.0 * np.einsum("nj,nj->n", B[:, 0], adj[:, 0]))
     x = x[:, :, 0]
     if not conv.all():
