@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,21 +147,10 @@ def _assign_max(score: list[list[float]], nr: int, nc: int) -> list[int]:
     return col4row
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Cluster labels per item; labels are contiguous ints from 0."""
-
-    labels: np.ndarray
-
-    def clusters(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, lab in enumerate(self.labels.tolist()):
-            out.setdefault(lab, []).append(i)
-        return [out[k] for k in sorted(out)]
-
-
-def partition_cycle_consistent(a: np.ndarray, max_exact: int = 12) -> Partition:
-    """Cluster items to maximize the sum of within-cluster affinities.
+def partition_cycle_consistent(a: np.ndarray, max_exact: int = 12) -> list[int]:
+    """Cluster items to maximize the sum of within-cluster affinities; the
+    cluster label of each item, numbered 0, 1, ... in order of first
+    appearance.
 
     The induced pairwise decisions are transitive by construction (the result
     is a partition), and -inf pairs are never co-clustered, which is how
@@ -174,18 +162,11 @@ def partition_cycle_consistent(a: np.ndarray, max_exact: int = 12) -> Partition:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if n == 0:
-        return Partition(np.zeros(0, dtype=int))
+        return []
     labels = _partition_exact(a) if n <= max_exact else _partition_greedy(a)
-    labels = _canonical_labels(labels)
     # no forbidden pair shares a label
     assert not any(a[i, j] == -math.inf for i, j in _co_clustered(labels))
-    return Partition(np.array(labels))
-
-
-def _canonical_labels(labels) -> list[int]:
-    """Labels renumbered 0, 1, ... in order of first appearance."""
-    remap: dict[int, int] = {}
-    return [remap.setdefault(int(lab), len(remap)) for lab in labels]
+    return labels
 
 
 def _co_clustered(labels: list[int]):
@@ -245,7 +226,7 @@ def _partition_exact(a: np.ndarray) -> list[int]:
                 mem.append(i)
                 rec(i + 1, obj + add)
                 mem.pop()
-        labels[i] = len(members)
+        labels[i] = len(members)  # so labels count up in order of first appearance
         members.append([i])
         rec(i + 1, obj)
         members.pop()
@@ -277,4 +258,6 @@ def _partition_greedy(a: np.ndarray) -> list[int]:
         blocked[j, :] = True
         blocked[:, j] = True
         owner[owner == j] = i
-    return owner.tolist()
+    # as i < j, each cluster's owner is its first item, so ranking the owners
+    # numbers the clusters in order of first appearance
+    return np.unique(owner, return_inverse=True)[1].tolist()

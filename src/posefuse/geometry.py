@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateProjection(ValueError):
-    """Point has (near-)zero or negative depth in the camera frame."""
-
-
 class CoincidentCenters(ValueError):
     """Camera pair shares a center, so no fundamental matrix exists."""
 
@@ -54,20 +50,6 @@ class CameraView:
         for a in (P, P_plus, center):
             a.setflags(write=False)
         return cls(cam_id, P, P_plus, center, (int(image_size[0]), int(image_size[1])))
-
-
-def project(cam: CameraView, X) -> np.ndarray:
-    """Project a world point to pixels.
-
-    Raises DegenerateProjection when the depth is (near-)zero or negative;
-    the caller decides whether behind-camera points matter.
-    """
-    w = cam.P @ hom(np.asarray(X, dtype=float))
-    if abs(w[2]) < 1e-9:
-        raise DegenerateProjection(f"camera {cam.id!r}: zero-depth point")
-    if w[2] < 0:
-        raise DegenerateProjection(f"camera {cam.id!r}: point behind camera")
-    return w[:2] / w[2]
 
 
 def project_points(cam: CameraView, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

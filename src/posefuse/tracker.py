@@ -157,15 +157,18 @@ def cluster_pool(a: np.ndarray, cfg: TrackerConfig) -> list[list[int]]:
 
     a (N, N) is the detections' epipolar affinity matrix. It is partitioned
     cycle-consistently, and the member indices of each group of at least
-    min_views_init detections come back in partition order. When every pair
-    scores below 0 the partition is all singletons, which min_views_init >= 2
-    drops, so it is not run.
+    min_views_init detections come back in order of first member, as the
+    partition numbers its labels. When every pair scores below 0 the
+    partition is all singletons, which min_views_init >= 2 drops, so it is
+    not run.
     """
     n = len(a)
     if np.count_nonzero(a < 0) == n * (n - 1):  # the zero diagonal never counts
         return []
-    return [c for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters()
-            if len(c) >= cfg.min_views_init]
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(partition_cycle_consistent(a, cfg.max_exact_partition)):
+        groups.setdefault(lab, []).append(i)
+    return [c for c in groups.values() if len(c) >= cfg.min_views_init]
 
 
 @dataclass(frozen=True)
@@ -200,27 +203,12 @@ class StepResult:
     @property
     def poses(self) -> list[TargetPose]:
         """The live targets in output order, as views of points."""
-        return [TargetPose(tid, p[:, :3], p[:, 3]) for tid, p in zip(self.ids, self.points)]
+        return _pose_views(self.ids, self.points)
 
 
-class Target:
-    """Handle onto a live target, whose row in the tracker's state arrays is
-    slot; valid until the tracker's next step, which may move or retire it."""
-
-    __slots__ = ("id", "slot", "_tr")
-
-    def __init__(self, tr: "CrossViewTracker", target_id: int, slot: int):
-        self.id = target_id
-        self.slot = slot
-        self._tr = tr
-
-    @property
-    def joint_xyz(self) -> np.ndarray:
-        return self._tr._joint[self.slot, :, :3]
-
-    @property
-    def last_matched(self) -> float:
-        return float(self._tr._last_match[self.slot])
+def _pose_views(ids: list[int], points: np.ndarray) -> list[TargetPose]:
+    """One TargetPose per id, viewing its (K, 4) row of points."""
+    return [TargetPose(tid, p[:, :3], p[:, 3]) for tid, p in zip(ids, points)]
 
 
 class CrossViewTracker:
@@ -348,9 +336,7 @@ class CrossViewTracker:
         records.extend(self._initialize_targets())
         retired = self._retire(t, ci, n_old)
         # copies, as later steps change both in place
-        points = (np.zeros((0, 0, 4)) if self.K is None
-                  else self._joint[:len(self._ids), :, :4].copy())
-        return StepResult(cid, t, self._ids.copy(), points, records, retired)
+        return StepResult(cid, t, self._ids.copy(), self._points(), records, retired)
 
     def finish(self) -> list[AssignmentRecord]:
         """Flush pool leftovers as unmatched at end of stream."""
@@ -360,10 +346,10 @@ class CrossViewTracker:
         return records
 
     @property
-    def targets(self) -> list[Target]:
-        """The live targets in output order; a fresh list of handles on each
-        read, valid until the next step."""
-        return [Target(self, tid, r) for r, tid in enumerate(self._ids)]
+    def targets(self) -> list[TargetPose]:
+        """The live targets in output order, as StepResult.poses gives them:
+        views of a copy of the live rows, which later steps leave as it is."""
+        return _pose_views(self._ids, self._points())
 
     @property
     def pool(self) -> dict[str, list[Detection]]:
@@ -379,6 +365,11 @@ class CrossViewTracker:
         return self._dt_sum / self._dt_count if self._dt_count else 0.0
 
     # ------------------------------------------------------------- internals
+
+    def _points(self) -> np.ndarray:
+        """A copy of the live rows' points, (L, K, 4)."""
+        return (np.zeros((0, 0, 4)) if self.K is None
+                else self._joint[:len(self._ids), :, :4].copy())
 
     def _affinity_core(self, dxy: np.ndarray, dvm: np.ndarray, ci: int,
                        t: float) -> np.ndarray:

@@ -2,14 +2,14 @@
 
 These are the slow, obviously-correct references that the package's
 vectorized paths are checked against: assignment and partition by
-enumeration, per-joint triangulation, the per-pair target and epipolar
-affinities, the per-joint velocity regression and a per-joint view of the
-tracker's state, and the per-row wire format. Earlier, slower versions of
-the partition, the epipolar matrix and the DLT block pin the package's
-faster ones bit for bit. The epipolar-line helpers and the pair dict of
-fundamental matrices, which only the tests use, live here too. Nothing here
-imports from the package's solver paths; it takes only types, errors,
-constants and the small geometry helpers from it.
+enumeration, per-point projection, per-joint triangulation, the per-pair
+target and epipolar affinities, the per-joint velocity regression and a
+per-joint view of the tracker's state, and the per-row wire format.
+Earlier, slower versions of the partition, the epipolar matrix and the DLT
+block pin the package's faster ones bit for bit. The epipolar-line helpers
+and the pair dict of fundamental matrices, which only the tests use, live
+here too. Nothing here imports from the package's solver paths; it takes
+only types, errors, constants and the small geometry helpers from it.
 """
 
 import math
@@ -20,8 +20,7 @@ from itertools import permutations
 import numpy as np
 
 from posefuse.affinity import EPS_CLOCK, ChronologyViolation
-from posefuse.geometry import CameraView, DegenerateProjection, \
-    fundamental_from_projections, hom
+from posefuse.geometry import CameraView, fundamental_from_projections, hom
 from posefuse.io_cli import ParseError, _field, _loads, _parse_ts, _str_field, fmt_ts
 from posefuse.tracker import Detection, FrameBatch, UnknownCamera
 
@@ -202,6 +201,28 @@ def _partition_greedy(a: np.ndarray) -> np.ndarray:
         alive[j] = False
         owner[owner == j] = i
     return owner
+
+
+# ------------------------------------------------- scalar projection
+
+
+class DegenerateProjection(ValueError):
+    """Point has (near-)zero or negative depth in the camera frame."""
+
+
+def project(cam: CameraView, X) -> np.ndarray:
+    """Project one world point to pixels, as geometry.project_points does a
+    batch.
+
+    Raises DegenerateProjection when the depth is (near-)zero or negative;
+    the caller decides whether behind-camera points matter.
+    """
+    w = cam.P @ hom(np.asarray(X, dtype=float))
+    if abs(w[2]) < 1e-9:
+        raise DegenerateProjection(f"camera {cam.id!r}: zero-depth point")
+    if w[2] < 0:
+        raise DegenerateProjection(f"camera {cam.id!r}: point behind camera")
+    return w[:2] / w[2]
 
 
 # ------------------------------------------------- scalar triangulation
@@ -425,12 +446,11 @@ class JointState:
     history: list[tuple[float, np.ndarray]]
 
 
-def joint_state(tr, target, k: int) -> JointState:
-    """Joint k of a live target, read from its row target.slot of the
-    tracker's state arrays: the point (None while unsolved), its time and
-    velocity, the newest observation per camera as (pixel, confidence,
-    time), and the solution history in time order."""
-    s = target.slot
+def joint_state(tr, s: int, k: int) -> JointState:
+    """Joint k of the live target in row s of the tracker's state arrays,
+    which is its position in tr.targets: the point (None while unsolved),
+    its time and velocity, the newest observation per camera as (pixel,
+    confidence, time), and the solution history in time order."""
     j = tr._joint[s, k]
     point = j[:3].copy() if np.isfinite(j[:3]).all() else None
     obs = {}

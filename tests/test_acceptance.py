@@ -15,15 +15,15 @@ import pytest
 
 from helpers import random_rig
 from oracles import (best_partition_total, brute_force_assignment_total,
-                     epipolar_line, partition_objective, point_to_line_distance)
+                     epipolar_line, partition_objective, point_to_line_distance,
+                     project)
 from posefuse.affinity import TrackerConfig
 from posefuse.assignment import hungarian_max, partition_cycle_consistent
 from posefuse.cli import main
 from posefuse.evaluation import (association_accuracy, framerate_sweep,
                                  mot_metrics, pcp, project_step_roots,
                                  run_tracker)
-from posefuse.geometry import (build_fundamental_table,
-                               fundamental_from_projections, project)
+from posefuse.geometry import build_fundamental_table, fundamental_from_projections
 from posefuse.bench import bench_baseline, bench_scene, bench_tracker
 from posefuse.simulator import (ScenarioSpec, baseline_alg_s1, generate,
                                 synchronized_groups)
@@ -60,8 +60,7 @@ def test_criterion_01_assignment_and_partition_match_bruteforce():
         forbid = rng.random((n, n)) < 0.1
         forbid = np.triu(forbid, 1)
         a[forbid | forbid.T] = -np.inf
-        part = partition_cycle_consistent(a)
-        got = partition_objective(part.labels, a)
+        got = partition_objective(partition_cycle_consistent(a), a)
         want = best_partition_total(a)
         worst_p = max(worst_p, abs(got - want))
     elapsed = time.perf_counter() - t0
@@ -226,22 +225,31 @@ def test_criterion_05_time_weighting_survives_low_framerates():
 def test_criterion_06_tracker_scales_linearly_baseline_does_not():
     t0 = time.perf_counter()
     cam_counts = (4, 8, 16, 32)
-    tracker_pf = []
-    baseline_pf = {}
+    scenes = {n_cam: bench_scene(n_cam, 5, 1.2, seed=0)[:2] for n_cam in cam_counts}
+    baseline_pf = {n_cam: bench_baseline(*scenes[n_cam], 5).per_frame_ms
+                   for n_cam in (8, 32)}
+    # An untimed pass per camera count first. The host's speed drifts for
+    # seconds at a time, so each count is then timed by five tracker passes,
+    # interleaved across the counts so that a slow phase spreads over all of
+    # them, and the line is fitted to each count's median.
     for n_cam in cam_counts:
-        cams, frames, _ = bench_scene(n_cam, 5, 1.2, seed=0)
-        tracker_pf.append(bench_tracker(cams, frames, 5).per_frame_ms)
-        if n_cam in (8, 32):
-            baseline_pf[n_cam] = bench_baseline(cams, frames, 5).per_frame_ms
+        bench_tracker(*scenes[n_cam], 5)
+    passes = {n_cam: [] for n_cam in cam_counts}
+    for _ in range(5):
+        for n_cam in cam_counts:
+            passes[n_cam].append(bench_tracker(*scenes[n_cam], 5).per_frame_ms)
     x = np.array(cam_counts, dtype=float)
-    y = np.array(tracker_pf)
+    y = np.array([np.median(passes[n_cam]) for n_cam in cam_counts])
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)
     r2 = 1.0 - float((resid ** 2).sum()) / float(((y - y.mean()) ** 2).sum())
     elapsed = time.perf_counter() - t0
     ok = r2 >= 0.95 and baseline_pf[32] > 4.0 * baseline_pf[8] and elapsed < 120.0
     report(6, ok, f"R2={r2:.4f}, baseline 32cam {baseline_pf[32]:.0f} ms vs "
-                  f"4x8cam {4 * baseline_pf[8]:.0f} ms, {elapsed:.0f}s")
+                  f"4x8cam {4 * baseline_pf[8]:.0f} ms, {elapsed:.0f}s; tracker ms "
+                  "per frame by pass: " + "; ".join(
+                      f"{n_cam}cam " + " ".join(f"{ms:.2f}" for ms in passes[n_cam])
+                      for n_cam in cam_counts))
     assert r2 >= 0.95
     assert baseline_pf[32] > 4.0 * baseline_pf[8]
     assert elapsed < 120.0

@@ -8,13 +8,13 @@ import pytest
 
 from posefuse.affinity import ChronologyViolation, TrackerConfig, epipolar_affinity_matrix
 from posefuse.geometry import CameraView, build_fundamental_table, \
-    fundamental_from_projections, project
+    fundamental_from_projections
 from posefuse.tracker import stack_detections
 
 import oracles
 from helpers import make_camera, random_rig
 from oracles import (NoState, SameCamera, affinity_2d, affinity_3d, body_affinity,
-                     epipolar_affinity, estimate_velocity)
+                     epipolar_affinity, estimate_velocity, project)
 
 CFG = TrackerConfig()
 

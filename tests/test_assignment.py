@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from posefuse import assignment
-from posefuse.assignment import (
-    Partition,
-    hungarian_max,
-    partition_cycle_consistent,
-)
+from posefuse.assignment import hungarian_max, partition_cycle_consistent
 
 from oracles import (
     all_partitions,
@@ -211,16 +207,15 @@ def test_partition_hand_example():
     a[0, 1] = a[1, 0] = 0.5
     a[0, 2] = a[2, 0] = 0.4
     a[1, 2] = a[2, 1] = -0.9
-    part = partition_cycle_consistent(a)
-    assert partition_objective(part.labels, a) == 0.5
-    assert part.labels[0] == part.labels[1] != part.labels[2]
+    labels = partition_cycle_consistent(a)
+    assert partition_objective(labels, a) == 0.5
+    assert labels[0] == labels[1] != labels[2]
 
 
 def test_partition_all_negative_gives_singletons():
     a = -np.ones((4, 4))
     np.fill_diagonal(a, 0.0)
-    part = partition_cycle_consistent(a)
-    assert len(set(part.labels.tolist())) == 4
+    assert partition_cycle_consistent(a) == [0, 1, 2, 3]
 
 
 def test_partition_matches_enumeration():
@@ -236,8 +231,7 @@ def test_partition_matches_enumeration():
             i, j = rng.integers(0, n, size=2)
             if i != j:
                 a[i, j] = a[j, i] = float("-inf")
-        part = partition_cycle_consistent(a)
-        got = partition_objective(part.labels, a)
+        got = partition_objective(partition_cycle_consistent(a), a)
         want = best_partition_total(a)
         assert abs(got - want) < 1e-9
         n_checked += 1
@@ -251,20 +245,19 @@ def test_partition_camera_exclusivity_holds_even_with_positive_forbidden_neighbo
         [5.0, 0.0, float("-inf")],
         [5.0, float("-inf"), 0.0],
     ])
-    part = partition_cycle_consistent(a)
-    assert part.labels[1] != part.labels[2]
+    labels = partition_cycle_consistent(a)
+    assert labels[1] != labels[2]
 
 
 @pytest.mark.skipif(not __debug__, reason="python -O strips the check")
 def test_partition_rejects_a_co_clustered_forbidden_pair(monkeypatch):
     a = np.zeros((3, 3))
     a[0, 2] = a[2, 0] = float("-inf")
-    monkeypatch.setattr(assignment, "_partition_exact",
-                        lambda a: np.zeros(a.shape[0], dtype=int))
+    monkeypatch.setattr(assignment, "_partition_exact", lambda a: [0] * a.shape[0])
     with pytest.raises(AssertionError):
         partition_cycle_consistent(a)
     a[0, 2] = a[2, 0] = 0.0
-    assert partition_cycle_consistent(a).labels.tolist() == [0, 0, 0]
+    assert partition_cycle_consistent(a) == [0, 0, 0]
 
 
 def test_partition_greedy_path_feasible_and_sane():
@@ -278,12 +271,12 @@ def test_partition_greedy_path_feasible_and_sane():
         same = ids[:, None] == ids[None, :]
         a[same] = float("-inf")
         np.fill_diagonal(a, 0.0)
-        part = partition_cycle_consistent(a, max_exact=12)
-        obj = partition_objective(part.labels, a)
+        labels = partition_cycle_consistent(a, max_exact=12)
+        obj = partition_objective(labels, a)
         assert np.isfinite(obj)
         assert obj >= 0.0  # never worse than all singletons
-        for cluster in part.clusters():
-            cams = [ids[i] for i in cluster]
+        for lab in set(labels):
+            cams = [ids[i] for i, other in enumerate(labels) if other == lab]
             assert len(cams) == len(set(cams))
 
 
@@ -298,19 +291,25 @@ def test_greedy_agrees_with_exact_on_easy_instances():
                      rng.uniform(-1.0, -0.4, size=(n, n)))
         a = (a + a.T) / 2.0
         np.fill_diagonal(a, 0.0)
-        part = partition_cycle_consistent(a, max_exact=0)  # force greedy
-        labels = part.labels
+        labels = partition_cycle_consistent(a, max_exact=0)  # force greedy
         for i in range(n):
             for j in range(n):
                 assert (labels[i] == labels[j]) == (truth[i] == truth[j])
 
 
 def test_partition_labels_are_canonical():
-    a = np.zeros((5, 5))
-    part = partition_cycle_consistent(a)
-    assert isinstance(part, Partition)
-    assert part.labels.min() == 0
-    assert set(part.labels.tolist()) == set(range(part.labels.max() + 1))
+    # a plain list of ints, numbered 0, 1, ... in order of first appearance,
+    # from the exact search and from the greedy fallback alike
+    rng = np.random.default_rng(29)
+    for max_exact in (12, 0):
+        for n in range(1, 10):
+            a = tied_affinities(rng, n, n_cams=n)
+            labels = partition_cycle_consistent(a, max_exact)
+            assert type(labels) is list and len(labels) == n
+            assert all(type(lab) is int for lab in labels)
+            first = list(dict.fromkeys(labels))
+            assert first == list(range(len(first)))
+    assert partition_cycle_consistent(np.zeros((0, 0))) == []
 
 
 def test_partition_enumeration_counts():
@@ -348,7 +347,7 @@ def test_exact_partition_returns_the_reference_labels_ties_included():
                 a = np.triu(a, 1) + np.triu(a, 1).T
             got = partition_cycle_consistent(a)
             want = partition_labels(a)
-            assert got.labels.tolist() == want.tolist(), (n, trial)
+            assert got == want.tolist(), (n, trial)
             ties += partition_objective(want, a) == partition_objective(
                 np.arange(n), a) and want.max() < n - 1
     assert ties >= 10  # a merge that only ties with all singletons was kept
@@ -363,4 +362,4 @@ def test_greedy_partition_returns_the_reference_labels():
                 a = np.where(np.isfinite(a), a + rng.normal(0, 0.1, a.shape), a)
                 a = np.triu(a, 1) + np.triu(a, 1).T
             got = partition_cycle_consistent(a, max_exact=12)
-            assert got.labels.tolist() == partition_labels(a, 12).tolist(), (n, trial)
+            assert got == partition_labels(a, 12).tolist(), (n, trial)

@@ -6,18 +6,16 @@ import pytest
 from posefuse.geometry import (
     CameraView,
     CoincidentCenters,
-    DegenerateProjection,
     RankDeficientP,
     build_fundamental_table,
     fundamental_from_projections,
     hom,
-    project,
     project_points,
 )
 
 from helpers import make_camera, random_camera
-from oracles import DegenerateLine, Ray3, back_project, epipolar_line, fundamental_pairs, \
-    point_to_line_distance, point_to_ray_distance
+from oracles import DegenerateLine, DegenerateProjection, Ray3, back_project, epipolar_line, \
+    fundamental_pairs, point_to_line_distance, point_to_ray_distance, project
 
 
 IDENTITY_P = np.hstack([np.eye(3), np.zeros((3, 1))])

@@ -7,7 +7,7 @@ tracker's shared triangulate, must match them bit for bit."""
 import numpy as np
 import pytest
 
-from posefuse.geometry import CameraView, hom, project
+from posefuse.geometry import CameraView, hom
 from posefuse.simulator import plain_pose
 from posefuse.tracker import UnknownCamera
 
@@ -18,6 +18,7 @@ from oracles import (
     NearDegenerate,
     TriangulationResult,
     build_coefficients,
+    project,
     row_weight,
     triangulate_joint,
     triangulate_joint_weighted,

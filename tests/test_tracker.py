@@ -82,7 +82,7 @@ def test_static_person_one_round():
         tr.step(f)
     assert len(tr.targets) == 1
     pose = truth.poses_at(frames[3].timestamp)[0]
-    assert mean_err(tr.targets[0].joint_xyz, pose) <= 5e-3
+    assert mean_err(tr.targets[0].joints, pose) <= 5e-3
 
 
 def test_initialization_is_exact_noiseless():
@@ -93,7 +93,7 @@ def test_initialization_is_exact_noiseless():
     out = tr.step(frames[1])  # second camera triggers clustering
     assert len(tr.targets) == 1
     pose = truth.poses_at(frames[0].timestamp)[0]
-    assert mean_err(tr.targets[0].joint_xyz, pose) <= 1e-6
+    assert mean_err(tr.targets[0].joints, pose) <= 1e-6
     got = {r.target_id for r in out.assignments}
     assert got == {tr.targets[0].id}
 
@@ -252,9 +252,9 @@ def test_low_confidence_joints_never_recorded():
     for f in doctored:
         tr.step(f)
     assert len(tr.targets) == 1
-    assert joint_state(tr, tr.targets[0], 0).observations == {}
-    assert np.isnan(tr.targets[0].joint_xyz[0]).all()
-    assert joint_state(tr, tr.targets[0], 1).observations != {}
+    assert joint_state(tr, 0, 0).observations == {}
+    assert np.isnan(tr.targets[0].joints[0]).all()
+    assert joint_state(tr, 0, 1).observations != {}
 
 
 def test_joint_count_change_rejected():
@@ -316,8 +316,8 @@ def test_a_detection_without_a_usable_joint_never_matches(blank):
     frames = iter(frames)
     while not tr.targets:
         tr.step(next(frames))
-    (tg,), t0 = tr.targets, tr.targets[0].last_matched
-    built_by = tr._built_by[tg.slot].copy()
+    (tg,), t0 = tr.targets, tr._last_match[0]
+    built_by = tr._built_by[0].copy()
     assert built_by.any() and not built_by.all()  # unconfirmed
     # a camera that did not build the target sees a detection that nothing
     # ties to it: no joint above min_joint_confidence, or no joint at all
@@ -332,9 +332,9 @@ def test_a_detection_without_a_usable_joint_never_matches(blank):
         records.extend(out.assignments)
         assert out.retired == retired
         if not retired:
-            (kept,) = tr.targets
-            assert kept.last_matched == t0
-            assert (tr._built_by[kept.slot] == built_by).all()
+            assert out.ids == [tg.id]
+            assert tr._last_match[0] == t0
+            assert (tr._built_by[0] == built_by).all()
     records.extend(tr.finish())
     assert tr.targets == []
     assert [r.target_id for r in records if r.camera_id == cid] == [None, None]
@@ -378,6 +378,27 @@ def test_poses_cover_all_live_targets_every_step():
         assert sorted(p.id for p in out.poses) == sorted(t.id for t in tr.targets)
 
 
+def test_targets_are_the_steps_poses():
+    spec = ScenarioSpec(n_people=3, n_cameras=4, duration=2.0, seed=23, noise_sigma=1.0)
+    cams, frames, _ = generate(spec)
+    tr = CrossViewTracker(cams)
+
+    def frozen(poses):
+        return [(p.id, p.joints.tobytes(), p.joint_times.tobytes()) for p in poses]
+
+    retired = 0
+    held = []  # the targets read after each step, with their bytes as read
+    for f in add_shifted_ghosts(frames, spec.image_size, 1.0, seed=23):
+        out = tr.step(f)
+        retired += len(out.retired)
+        targets = tr.targets
+        assert frozen(targets) == frozen(out.poses)
+        # a copy: later steps leave what was read as it was
+        held.append((targets, frozen(targets)))
+        assert all(frozen(ts) == want for ts, want in held)
+    assert retired >= 5 and any(ts for ts, _ in held)
+
+
 def test_solved_joints_have_two_cameras_of_support():
     spec = ScenarioSpec(n_people=2, n_cameras=4, duration=2.0, seed=5,
                         noise_sigma=1.0, dropout=0.15)
@@ -385,10 +406,10 @@ def test_solved_joints_have_two_cameras_of_support():
     tr = CrossViewTracker(cams)
     for f in frames:
         tr.step(f)
-    for tg in tr.targets:
+    for r, tg in enumerate(tr.targets):
         for k in range(tr.K):
-            if np.isfinite(tg.joint_xyz[k]).all():
-                assert len(joint_state(tr, tg, k).observations) >= 2
+            if np.isfinite(tg.joints[k]).all():
+                assert len(joint_state(tr, r, k).observations) >= 2
 
 
 def test_retires_after_person_leaves():
@@ -427,7 +448,7 @@ def test_unconfirmed_target_retires_at_a_creating_cameras_next_frame():
     # a camera that built it looks again and misses it; no target is stale,
     # which must not spare it
     t = c.timestamp + 0.01
-    assert t - tr.targets[0].last_matched <= tr.cfg.retire_after
+    assert t - tr._last_match[0] <= tr.cfg.retire_after
     out = tr.step(FrameBatch(a.camera_id, t, []))
     assert out.retired == [tid]
     assert tr.targets == [] and out.poses == []
@@ -441,7 +462,7 @@ def test_matched_target_retires_only_after_retire_after():
     out = tr.step(frames[2])  # the third camera confirms it
     (tg,) = tr.targets
     assert [r.target_id for r in out.assignments] == [tg.id]
-    last = tg.last_matched
+    last = float(tr._last_match[0])
     ids = [c.id for c in cams]
     # the latest time at which the target is retire_after old, exactly
     edge = last + tr.cfg.retire_after
@@ -516,7 +537,7 @@ def test_retiring_keeps_each_survivors_state_and_earlier_poses():
     kept = moved = 0
     for f in add_shifted_ghosts(frames, spec.image_size, 1.0, seed=3):
         # every row array's live rows before the step, readable by joint_state
-        rows = {tg.id: tg.slot for tg in tr.targets}
+        rows = {tg.id: r for r, tg in enumerate(tr.targets)}
         snap = SimpleNamespace(_cam_ids=tr._cam_ids, **{
             name: getattr(tr, name)[:len(rows)].copy()
             for name in tr._ROW_ARRAYS if rows})
@@ -526,16 +547,17 @@ def test_retiring_keeps_each_survivors_state_and_earlier_poses():
         matched = {r.target_id for r in out.assignments}
         # on a step that retires, each older target it did not match keeps
         # its state, whether its row moved up or not
-        survivors = [tg for tg in tr.targets if tg.id in rows and tg.id not in matched]
-        for tg in survivors if out.retired else []:
-            was = rows[tg.id]
-            moved += tg.slot != was
+        survivors = [(r, tid) for r, tid in enumerate(ids)
+                     if tid in rows and tid not in matched]
+        for r, tid in survivors if out.retired else []:
+            was = rows[tid]
+            moved += r != was
             for name in tr._ROW_ARRAYS:
-                assert getattr(tr, name)[tg.slot].tobytes() \
+                assert getattr(tr, name)[r].tobytes() \
                     == getattr(snap, name)[was].tobytes(), name
             for k in range(tr.K):
-                assert frozen_state(joint_state(tr, tg, k)) \
-                    == frozen_state(joint_state(snap, SimpleNamespace(slot=was), k))
+                assert frozen_state(joint_state(tr, r, k)) \
+                    == frozen_state(joint_state(snap, was, k))
             kept += 1
         returned.extend((p, p.joints.copy(), p.joint_times.copy()) for p in out.poses)
         assert all(p.joints.tobytes() == xyz.tobytes() and p.joint_times.tobytes()
@@ -748,8 +770,10 @@ def pool_of(frames, n_cameras):
 
 def full_partition(a, cfg):
     """cluster_pool's answer with the partition always run on matrix a."""
-    return [c for c in partition_cycle_consistent(a, cfg.max_exact_partition).clusters()
-            if len(c) >= cfg.min_views_init]
+    groups = {}
+    for i, lab in enumerate(partition_cycle_consistent(a, cfg.max_exact_partition)):
+        groups.setdefault(lab, []).append(i)
+    return [groups[lab] for lab in sorted(groups) if len(groups[lab]) >= cfg.min_views_init]
 
 
 @pytest.mark.parametrize("min_views_init", [2, 3])
@@ -812,9 +836,9 @@ def test_affinity_matrix_matches_scalar_reference(spec, min_checked):
             with np.errstate(all="ignore"):
                 vec = tr._affinity_core(dxy, dvm, tr._cam_idx[f.camera_id],
                                         f.timestamp)
-            ref = np.array([[body_affinity(lambda k: joint_state(tr, tg, k), d,
+            ref = np.array([[body_affinity(lambda k: joint_state(tr, r, k), d,
                                            tr.cameras[f.camera_id], tr.cfg)
-                             for d in f.detections] for tg in tr.targets])
+                             for d in f.detections] for r in range(len(tr.targets))])
             assert np.allclose(vec, ref, atol=1e-9)
             checked += 1
         tr.step(f)
@@ -844,9 +868,9 @@ def test_update_matches_weighted_triangulation_reference(spec, confidence_weight
         peak = max(peak, len(tr.targets))
     assert (peak > 8) == (spec.n_people > 8)
     checked = 0
-    for tg in tr.targets:
+    for r in range(len(tr.targets)):
         for k in range(tr.K):
-            js = joint_state(tr, tg, k)
+            js = joint_state(tr, r, k)
             if js.point is None or len(js.observations) < 2:
                 continue
             t_ref = max(t for _, _, t in js.observations.values())
@@ -949,9 +973,9 @@ def test_velocity_matches_history_regression_reference():
     # too short for a velocity, are checked too
     for f in frames:
         tr.step(f)
-        for tg in tr.targets:
+        for r in range(len(tr.targets)):
             for k in range(tr.K):
-                js = joint_state(tr, tg, k)
+                js = joint_state(tr, r, k)
                 if not js.history:
                     continue
                 v_ref, ok_ref = estimate_velocity(js.history, tr.cfg)
@@ -969,10 +993,10 @@ def test_unweighted_mode_matches_plain_reference():
     tr = CrossViewTracker(cams, weighted=False)
     for f in frames:
         tr.step(f)
-    tg = tr.targets[0]
+    assert tr.targets
     checked = 0
     for k in range(tr.K):
-        js = joint_state(tr, tg, k)
+        js = joint_state(tr, 0, k)
         if js.point is None:
             continue
         t_ref = max(t for _, _, t in js.observations.values())
