@@ -262,8 +262,8 @@ class CrossViewTracker:
                    "_hist", "_hist_n", "_last_match", "_built_by")
 
     def _alloc(self, K: int):
-        """Room for 8 targets; _build_target doubles it when full and sets
-        up each new row."""
+        """Room for 8 targets; _initialize_targets doubles it until its new
+        rows fit and sets each of them up."""
         n, C, W = 8, len(self._cam_ids), self.cfg.velocity_window
         # per joint: point x, y, z, its time (NaN while unsolved), then the
         # velocity, which is zero whenever it is not valid
@@ -324,8 +324,14 @@ class CrossViewTracker:
                 # target accepts
                 accepted = hungarian_max(np.where(A >= self.cfg.match_threshold, A, -np.inf))
                 if accepted:
-                    rc = np.array(accepted, dtype=np.intp)
-                    self._update_matched(rc[:, 0], rc[:, 1], dxy, dconf, dvm, ci, t)
+                    # a match confirms the target; each matched detection
+                    # has a usable joint, as _affinity_core makes a pair
+                    # without one impossible
+                    rows, msel = np.array(accepted, dtype=np.intp).T
+                    self._last_match[rows] = np.maximum(self._last_match[rows], t)
+                    self._built_by[rows] = False
+                    self._solve(*self._observe(rows, dxy[msel], dconf[msel],
+                                               dvm[msel], ci, t))
             for r, c in accepted:
                 records.append(AssignmentRecord(cid, dets[c].timestamp,
                                                 dets[c].index, self._ids[r]))
@@ -428,24 +434,22 @@ class CrossViewTracker:
             r /= np.sqrt(np.einsum("nij,nij->ni", r, r))[:, :, None]
         return (np.ascontiguousarray(r.transpose(0, 2, 1)) @ r).reshape(-1, 16)
 
-    def _update_matched(self, rows: np.ndarray, msel: np.ndarray, dxy: np.ndarray,
-                        dconf: np.ndarray, dvm: np.ndarray, ci: int, t: float):
-        """One batched state update covering every matched (target row,
-        detection); a match confirms the target. Each matched detection has a
-        usable joint, as _affinity_core makes a pair without one impossible.
-
-        Runs under step's np.errstate(all="ignore")."""
-        self._last_match[rows] = np.maximum(self._last_match[rows], t)
-        self._built_by[rows] = False
-        p_i, kq = dvm[msel].nonzero()
-        sq = rows[p_i]
-        m_i = msel[p_i]
-        xy = dxy[m_i, kq]
-        self._obs_xy[sq, kq, ci] = xy
-        self._obs_dlt[sq, kq, ci] = self._dlt_block(xy, ci)
+    def _observe(self, rows: np.ndarray, xy: np.ndarray, conf: np.ndarray,
+                 vis: np.ndarray, ci, t) -> tuple[np.ndarray, np.ndarray]:
+        """Store the usable joints vis (n, K) of detections xy (n, K, 2),
+        with confidences conf (n, K), as the newest observations of their
+        target rows (n,) by camera ci at time t: one value each for a match,
+        (n,) arrays of one per detection for a build. No two detections of a
+        row come from one camera. Returns the (row, joint) pairs written."""
+        m, kq = vis.nonzero()
+        if isinstance(ci, np.ndarray):
+            ci, t = ci[m], t[m]
+        sq, pts = rows[m], xy[m, kq]
+        self._obs_xy[sq, kq, ci] = pts
+        self._obs_dlt[sq, kq, ci] = self._dlt_block(pts, ci)
         self._obs_t[sq, kq, ci] = t
-        self._obs_conf[sq, kq, ci] = dconf[m_i, kq]
-        self._solve(sq, kq)
+        self._obs_conf[sq, kq, ci] = conf[m, kq]
+        return sq, kq
 
     def _solve(self, sq: np.ndarray, kq: np.ndarray):
         """Triangulate joints kq of target rows sq from the newest point of
@@ -559,7 +563,10 @@ class CrossViewTracker:
         """Build targets from the pool's groups once it holds min_views_init
         entries from two cameras or more; a stale matrix is recomputed. A pool
         that clustered into no group is not clustered again until it changes,
-        as the answer depends only on its matrix. The new targets' joints are
+        as the answer depends only on its matrix. All of the groups' targets
+        are set up in one pass: fresh rows after the last in use, with the
+        state arrays doubled until they fit, and every member's usable joints
+        written by _observe, as a match writes them. Their joints are then
         solved as a match solves them, and a group left with no solved joint
         builds no target and stays in the pool."""
         pool = self._pool
@@ -578,9 +585,29 @@ class CrossViewTracker:
         if not stale:
             xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
         L, n = len(self._ids), len(groups)
-        for s, c in enumerate(groups, L):
-            self._build_target(s, [pool[i] for i in c], (xy[c], conf[c], vis[c]))
-        sq, kq = (self._obs_t[L:L + n] > -np.inf).any(axis=2).nonzero()
+        while len(self._joint) < L + n:
+            for name in self._ROW_ARRAYS:
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
+        # the new rows may hold retired targets' state; the history ring and
+        # DLT blocks need no reset, as _hist_n and _obs_t mask them
+        new = slice(L, L + n)
+        self._joint[new, :, :4] = np.nan
+        self._joint[new, :, 4:] = 0.0
+        self._obs_xy[new] = 0.0
+        self._obs_t[new] = -np.inf
+        self._obs_conf[new] = 0.0
+        self._hist_n[new] = 0
+        self._built_by[new] = False
+        # one detection per member, in group order, with its target's row
+        members = [i for c in groups for i in c]
+        rows = np.repeat(np.arange(L, L + n), [len(c) for c in groups])
+        cams = np.array([self._cam_idx[pool[i].camera_id] for i in members])
+        times = np.array([pool[i].timestamp for i in members])
+        self._observe(rows, xy[members], conf[members], vis[members], cams, times)
+        self._last_match[new] = [max(pool[i].timestamp for i in c) for c in groups]
+        self._built_by[rows, cams] = True
+        sq, kq = (self._obs_t[new] > -np.inf).any(axis=2).nonzero()
         self._solve(sq + L, kq)
         built = ~np.isnan(self._joint[L:L + n, :, 3]).all(axis=1)
         if not built.all():
@@ -594,39 +621,6 @@ class CrossViewTracker:
         consumed = {i for c in groups for i in c}
         self._cut_pool([i for i in range(len(pool)) if i not in consumed])
         return records
-
-    def _build_target(self, s: int, members: list[Detection],
-                      rows: tuple[np.ndarray, ...]):
-        """Set up row s, the one after the last in use, for a new target with
-        every joint unsolved, holding every usable joint of its member
-        detections as observations; rows are the members' (xy, conf, vis)
-        from stack_detections. The state arrays double when full."""
-        if s == len(self._joint):
-            for name in self._ROW_ARRAYS:
-                a = getattr(self, name)
-                setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
-        # the row may hold a retired target's state; the history ring and
-        # DLT blocks need no reset, as _hist_n and _obs_t mask them
-        self._joint[s, :, :4] = np.nan
-        self._joint[s, :, 4:] = 0.0
-        self._obs_xy[s] = 0.0
-        self._obs_t[s] = -np.inf
-        self._obs_conf[s] = 0.0
-        self._hist_n[s] = 0
-        self._built_by[s] = False
-        # one row per usable member joint; members come from distinct
-        # cameras, so no two rows write the same observation
-        xy, conf, vis = rows
-        cams = [self._cam_idx[d.camera_id] for d in members]
-        m, k = vis.nonzero()
-        ci = np.array(cams)[m]
-        pts = xy[m, k]
-        self._obs_xy[s, k, ci] = pts
-        self._obs_dlt[s, k, ci] = self._dlt_block(pts, ci)
-        self._obs_t[s, k, ci] = np.array([d.timestamp for d in members])[m]
-        self._obs_conf[s, k, ci] = conf[m, k]
-        self._last_match[s] = max(d.timestamp for d in members)
-        self._built_by[s, cams] = True
 
     def _keep_rows(self, keep: np.ndarray):
         """Move the state rows keep, in order, to the top of the arrays."""

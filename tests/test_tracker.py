@@ -682,6 +682,49 @@ def test_an_unchanged_pool_is_clustered_once(monkeypatch):
     assert got_tail == want_tail
 
 
+def check_builds(monkeypatch) -> list[list[int]]:
+    """Make every _initialize_targets call check each row it builds against
+    a per-member write: the usable joints of each member detection as its
+    camera's observations, -inf times and zeros elsewhere, the DLT block of
+    each observation, the members' cameras as the builders and the newest
+    member's time as the last match. Returns the list that each call that
+    builds targets appends its new targets' member counts to."""
+    init = CrossViewTracker._initialize_targets
+    built = []
+
+    def checked_init(self):
+        pool = {(d.camera_id, d.timestamp, d.index): d for d in self._pool}
+        L = len(self._ids)
+        records = init(self)
+        K, C = self.K, len(self._cam_ids)
+        sizes = []
+        for r, tid in enumerate(self._ids[L:], L):
+            members = [pool[a.camera_id, a.timestamp, a.index] for a in records
+                       if a.target_id == tid]
+            xy, t = np.zeros((K, C, 2)), np.full((K, C), -np.inf)
+            conf, by = np.zeros((K, C)), np.zeros(C, dtype=bool)
+            for d in members:
+                ci = self._cam_idx[d.camera_id]
+                v = (d.confidences >= self.cfg.min_joint_confidence) \
+                    & np.isfinite(d.joints).all(axis=1)
+                xy[v, ci] = d.joints[v]
+                t[v, ci] = d.timestamp
+                conf[v, ci] = d.confidences[v]
+                by[ci] = True
+                assert (self._obs_dlt[r, v, ci]
+                        == oracles.dlt_block(self._P[ci], d.joints[v], self.weighted)).all()
+            assert (self._obs_xy[r] == xy).all() and (self._obs_t[r] == t).all()
+            assert (self._obs_conf[r] == conf).all() and (self._built_by[r] == by).all()
+            assert self._last_match[r] == max(d.timestamp for d in members)
+            sizes.append(len(members))
+        if sizes:
+            built.append(sizes)
+        return records
+
+    monkeypatch.setattr(CrossViewTracker, "_initialize_targets", checked_init)
+    return built
+
+
 @pytest.mark.parametrize("weighted, min_views_init", [(True, 2), (False, 2), (True, 3)])
 def test_built_targets_hold_what_a_per_member_write_gives(monkeypatch, weighted,
                                                           min_views_init):
@@ -690,32 +733,89 @@ def test_built_targets_hold_what_a_per_member_write_gives(monkeypatch, weighted,
     cams, frames, _ = generate(spec)
     tr = CrossViewTracker(cams, TrackerConfig(min_views_init=min_views_init),
                           weighted=weighted)
-    build = CrossViewTracker._build_target
-    views = Counter()
-
-    def checked_build(self, s, members, rows):
-        before = self._obs_dlt.copy()
-        build(self, s, members, rows)
-        K, C = self.K, len(self._cam_ids)
-        xy, t = np.zeros((K, C, 2)), np.full((K, C), -np.inf)
-        conf = np.zeros((K, C))
-        dlt = before[s].copy() if s < len(before) else np.zeros((K, C, 16))
-        for d in members:
-            ci = self._cam_idx[d.camera_id]
-            v = (d.confidences >= self.cfg.min_joint_confidence) \
-                & np.isfinite(d.joints).all(axis=1)
-            xy[v, ci] = d.joints[v]
-            dlt[v, ci] = oracles.dlt_block(self._P[ci], d.joints[v], weighted)
-            t[v, ci] = d.timestamp
-            conf[v, ci] = d.confidences[v]
-        assert (self._obs_xy[s] == xy).all() and (self._obs_t[s] == t).all()
-        assert (self._obs_conf[s] == conf).all() and (self._obs_dlt[s] == dlt).all()
-        views[len(members)] += 1
-
-    monkeypatch.setattr(CrossViewTracker, "_build_target", checked_build)
+    built = check_builds(monkeypatch)
     for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=4):
         tr.step(f)
-    assert sum(views.values()) >= 3 and min(views) == min_views_init
+    # some call builds several targets at once, and the smallest group has
+    # min_views_init members
+    assert sum(map(len, built)) >= 3 and max(map(len, built)) >= 2
+    assert min(map(min, built)) == min_views_init
+
+
+def test_one_build_that_grows_the_state_arrays_twice(monkeypatch):
+    # 17 people seen by 3 cameras: the third camera's frame builds a target
+    # for each, into state arrays with room for 8
+    pts = tuple(((x, y),) for x in np.linspace(-2.0, 2.0, 5)
+                for y in np.linspace(-2.0, 2.0, 4))[:17]
+    cams, frames, _ = generate(ScenarioSpec(n_people=17, n_cameras=3, duration=0.2, seed=1,
+                                            root_speed=0.0, swing_amplitude=0.0,
+                                            waypoints=pts))
+    tr = CrossViewTracker(cams, TrackerConfig(min_views_init=3))
+    built = check_builds(monkeypatch)
+    for f in frames[:2]:
+        assert tr.step(f).ids == [] and len(tr._joint) == 8
+    out = tr.step(frames[2])
+    assert built == [[3] * 17] and len(tr._joint) == 32
+    assert out.ids == list(range(17))
+
+
+def vanishing_point(cam, ray_cam, xy) -> np.ndarray:
+    """The pixel at which cam sees the direction of ray_cam's ray through
+    pixel xy: a ray of cam through it is parallel to that one, and it lies on
+    that ray's epipolar line in cam."""
+    p = cam.P @ np.append(oracles.back_project(ray_cam, xy).direction, 0.0)
+    return p[:2] / p[2]
+
+
+def with_joint_at(frame, k, xy):
+    """frame with joint k of its one detection moved to pixel xy."""
+    (d,) = frame.detections
+    joints = d.joints.copy()
+    joints[k] = xy
+    return FrameBatch(frame.camera_id, frame.timestamp,
+                      [Detection(d.camera_id, d.timestamp, joints, d.confidences, d.index)])
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_a_joint_solved_at_infinity_keeps_its_state(weighted):
+    # one walking person, two cameras: joint k of camera B is put at the
+    # vanishing point of camera A's newest ray for it, so its two rays are
+    # parallel and its solve lands at infinity
+    cams, frames, _ = generate(ScenarioSpec(n_people=1, n_cameras=2, duration=1.0, seed=6))
+    assert frames[0].camera_id == frames[2].camera_id != frames[1].camera_id \
+        == frames[3].camera_id
+    by_id = {c.id: c for c in cams}
+    k = 3
+
+    def parallel(a, b):
+        """Frame b with joint k on a ray parallel to frame a's."""
+        xy = vanishing_point(by_id[b.camera_id], by_id[a.camera_id],
+                             a.detections[0].joints[k])
+        return with_joint_at(b, k, xy)
+
+    # in a build, the joint stays unsolved while the others are solved
+    tr = CrossViewTracker(cams, weighted=weighted)
+    tr.step(frames[0])
+    out = tr.step(parallel(frames[0], frames[1]))
+    assert out.ids == [0] and tr._hist_n[0, k] == 0
+    assert np.isnan(out.points[0, k]).all()
+    others = np.arange(tr.K) != k
+    assert (out.points[0, others, 3] == frames[1].timestamp).all()
+    assert (tr._hist_n[0, others] == 1).all()
+
+    # in a later match, the joint keeps its point, time and velocity; a
+    # threshold below any score makes the match certain, as joint k's ray
+    # now passes far from its point
+    tr = CrossViewTracker(cams, TrackerConfig(match_threshold=-1e9), weighted=weighted)
+    for f in frames[:3]:
+        tr.step(f)
+    joint = tr._joint[0, k].copy()
+    assert (tr._hist_n[0] == 2).all() and np.abs(joint[4:]).max() > 0.0
+    out = tr.step(parallel(frames[2], frames[3]))
+    assert out.ids == [0] and [r.target_id for r in out.assignments] == [0]
+    assert tr._joint[0, k].tobytes() == joint.tobytes() and tr._hist_n[0, k] == 2
+    assert (out.points[0, others, 3] == frames[3].timestamp).all()
+    assert (tr._hist_n[0, others] == 3).all()
 
 
 def test_a_group_left_unsolved_builds_no_target_and_uses_no_id(monkeypatch):
