@@ -129,14 +129,60 @@ def _person_id(key: str) -> int:
     return _parse_int(pid if str(pid) == key else key, "person id")
 
 
+# the types of the JSON values that float() may convert
+_VALUE_TYPES = {int, float, str, bool}
+
+
+def _rows(entries: list, missing: tuple | None) -> tuple[np.ndarray, int, int]:
+    """The float rows of the entries ahead of the first malformed one, their
+    count n, and the count of nulls among them. An entry is three JSON values
+    that float() converts, or null: the row `missing`, or malformed where
+    that is None. One np.array call converts every value as float() does;
+    only on values it rejects does _convertible's float() pass run."""
+    flat: list = []
+    nulls = 0
+    for entry in entries:
+        if type(entry) is list and len(entry) == 3:
+            flat += entry
+        elif entry is None and missing is not None:
+            flat += missing
+            nulls += 1
+        else:
+            break
+    n = len(flat) // 3
+    # np.array would read None as NaN, and a list as one more dimension
+    if set(map(type, flat)) <= _VALUE_TYPES:
+        try:
+            return np.array(flat, dtype=float).reshape(n, 3), n, nulls
+        except (ValueError, OverflowError):
+            pass  # a string float() rejects, or an integer past the float range
+    n = _convertible(flat)
+    return np.array(flat[:3 * n], dtype=float).reshape(n, 3), n, nulls
+
+
+def _convertible(flat: list) -> int:
+    """The count of [a, b, c] rows of flat ahead of the first that float() rejects."""
+    for i, v in enumerate(flat):
+        try:
+            float(v)
+        except (TypeError, ValueError, OverflowError):
+            return i // 3
+    return len(flat) // 3
+
+
+def _entry_error(entry, where: str, row: str) -> ParseError:
+    """The error of the malformed entry `entry` of a list of `row` rows."""
+    if type(entry) is list and len(entry) == 3:
+        return ParseError(f"{where}: expected numbers, got {entry!r}")
+    return ParseError(f"{where}: expected {row} or null")
+
+
 def _parse_points(raw, what: str) -> np.ndarray:
     """A list of [X, Y, Z] number rows as an (n, 3) float array."""
-    try:
-        if isinstance(raw, list) and all(isinstance(r, list) and len(r) == 3
-                                         for r in raw):
-            return np.array([[float(x) for x in r] for r in raw]).reshape(-1, 3)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if isinstance(raw, list):
+        rows, n, _ = _rows(raw, None)
+        if n == len(raw):
+            return rows
     raise ParseError(f"{what}: expected a list of [X, Y, Z] rows")
 
 
@@ -211,8 +257,6 @@ def write_calibration(cams: list[CameraView], path: str) -> None:
 
 # the [x, y, confidence] row of a joint that is null or has a non-finite x or y
 _MISSING_JOINT = (math.nan, math.nan, 0.0)
-# the types of the JSON numbers that the one-conversion path takes
-_NUMBER_TYPES = {int, float}
 
 
 def parse_frame_line(line: str, path: str, lineno: int,
@@ -221,12 +265,10 @@ def parse_frame_line(line: str, path: str, lineno: int,
     joints: n_joints when given (the count of earlier frames of the same
     stream), else the first detection's.
 
-    The values of all detections go into one flat list, which becomes one
-    (M, K, 3) array of [x, y, confidence] rows; each Detection holds views
+    The joints of all detections become one (M, K, 3) array of
+    [x, y, confidence] rows in one _rows call; each Detection holds views
     of its rows. A joint that is null or has a non-finite x or y is a NaN
-    row with confidence 0. A frame whose joints are all null or three JSON
-    numbers, with finite confidences, is converted by one np.array call;
-    any other goes through a checked loop, which raises the ParseError.
+    row with confidence 0, and a non-finite confidence is a ParseError.
 
     Where orjson accepts a line, every number it holds passes through
     float() and comes out as from json, so only a line that orjson rejects
@@ -248,87 +290,42 @@ def _frame(obj: dict, n_joints: int | None) -> FrameBatch:
         raise ParseError("field 'detections' must be a list")
     if not raw_dets:
         return FrameBatch(cid, t, [])
-    rows = _joint_block(raw_dets, n_joints)
-    if rows is None:
-        rows = _checked_joint_rows(raw_dets, n_joints)
-    return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
-                               for i, r in enumerate(rows)])
-
-
-def _joint_block(raw_dets: list, n_joints: int | None) -> np.ndarray | None:
-    """The (M, K, 3) rows of detections raw_dets when each one's joints are
-    a list of K entries, K being n_joints when given, and each entry is null
-    or a list of three JSON numbers (not booleans) within the float range,
-    the third of them finite; None otherwise. The rows are those that
-    _checked_joint_rows gives: np.array stores float() of each number."""
-    flat: list = []
-    n_null = 0
+    # the joints of the detections ahead of the first malformed one
+    entries: list = []
     for rd in raw_dets:
         joints = rd.get("joints") if type(rd) is dict else None
-        if type(joints) is not list:
-            return None
+        if type(joints) is not list or not joints:
+            break
         if n_joints is None:
             n_joints = len(joints)
-        if len(joints) != n_joints or not n_joints:
-            return None
-        for entry in joints:
-            if entry is None:
-                flat += _MISSING_JOINT
-                n_null += 1
-            elif type(entry) is list and len(entry) == 3:
-                flat += entry
-            else:
-                return None
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
-        return None
-    try:
-        rows = np.array(flat, dtype=float).reshape(len(raw_dets), n_joints, 3)
-    except OverflowError:  # an integer past the float range
-        return None
+        if len(joints) != n_joints:
+            break
+        entries += joints
+    rows, n, nulls = _rows(entries, _MISSING_JOINT)
     finite = np.isfinite(rows)
     # when the null joints' rows hold the only non-finite values, no row
     # needs a change
-    if np.count_nonzero(finite) != finite.size - 2 * n_null:
-        if not finite[..., 2].all():
-            return None
-        rows[~(finite[..., 0] & finite[..., 1])] = _MISSING_JOINT
-    return rows
-
-
-def _checked_joint_rows(raw_dets: list, n_joints: int | None) -> np.ndarray:
-    """The (M, K, 3) rows of detections raw_dets, checked and converted one
-    joint at a time; raises ParseError at the first malformed one."""
-    isfinite = math.isfinite
-    flat: list[float] = []
-    for i, rd in enumerate(raw_dets):
+    if np.count_nonzero(finite) != finite.size - 2 * nulls:
+        if not finite[:, 2].all():
+            j = int(finite[:, 2].argmin())
+            raise ParseError("detection %d joint %d: " % divmod(j, n_joints)
+                             + f"confidence {entries[j][2]!r} is not finite")
+        rows[~(finite[:, 0] & finite[:, 1])] = _MISSING_JOINT
+    if n < len(entries):
+        raise _entry_error(entries[n], "detection %d joint %d" % divmod(n, n_joints),
+                           "[x, y, confidence]")
+    if not n_joints or len(entries) < n_joints * len(raw_dets):
+        i = len(entries) // n_joints if entries else 0
+        rd = raw_dets[i]
         if not isinstance(rd, dict) or "joints" not in rd:
             raise ParseError(f"detection {i} must carry 'joints'")
-        joints = rd["joints"]
-        if not isinstance(joints, list) or not joints:
+        if not isinstance(rd["joints"], list) or not rd["joints"]:
             raise ParseError(f"detection {i}: 'joints' must be a non-empty list")
-        k = len(joints)
-        if n_joints is None:
-            n_joints = k
-        elif k != n_joints:
-            raise ParseError(f"detection {i}: field 'joints' has {k} entries, "
-                             f"expected {n_joints}")
-        for j, entry in enumerate(joints):
-            if entry is None:
-                flat += _MISSING_JOINT
-                continue
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError(f"detection {i} joint {j}: expected [x, y, "
-                                 "confidence] or null")
-            try:
-                x, y, c = float(entry[0]), float(entry[1]), float(entry[2])
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"detection {i} joint {j}: expected numbers, "
-                                 f"got {entry!r}") from None
-            if not isfinite(c):
-                raise ParseError(f"detection {i} joint {j}: confidence "
-                                 f"{entry[2]!r} is not finite")
-            flat += (x, y, c) if isfinite(x) and isfinite(y) else _MISSING_JOINT
-    return np.array(flat).reshape(len(raw_dets), n_joints, 3)
+        raise ParseError(f"detection {i}: field 'joints' has {len(rd['joints'])} "
+                         f"entries, expected {n_joints}")
+    return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
+                               for i, r in enumerate(rows.reshape(len(raw_dets),
+                                                                  n_joints, 3))])
 
 
 def iter_detections(f, path: str):
@@ -429,23 +426,19 @@ def _track_row(obj: dict) -> TrackRow:
         tid = tg.get("id")
         if type(tid) is not int:
             raise ParseError("target id must be an integer")
+        if tid in targets:
+            raise ParseError(f"duplicate target id {tid}")
         joints = tg.get("joints")
         if not isinstance(joints, list):
             raise ParseError(f"target {tid}: bad 'joints'")
         _check_joint_count(len(joints), f"target {tid}")
-        xyz = np.full((len(joints), 3), np.nan)
+        xyz, n, _ = _rows(joints, (math.nan, math.nan, math.nan))
+        if n < len(joints):
+            raise _entry_error(joints[n], f"target {tid} joint {n}", "[X, Y, Z]")
         jt = np.full(len(joints), np.nan)
-        for j, entry in enumerate(joints):
-            if entry is None:
-                continue
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError(f"target {tid} joint {j}: expected [X, Y, Z] or null")
-            try:
-                xyz[j] = [float(v) for v in entry]
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"target {tid} joint {j}: expected numbers, "
-                                 f"got {entry!r}") from None
-        raw_times = tg.get("joint_times") or []
+        raw_times = tg.get("joint_times")
+        if raw_times is None:
+            raw_times = []
         if not isinstance(raw_times, list) or len(raw_times) > len(joints):
             raise ParseError(f"target {tid}: 'joint_times' must be a list with at "
                              "most one entry per joint")
@@ -481,8 +474,9 @@ def write_truth(truth: GroundTruth, path: str) -> None:
                                "person": pid}) + "\n")
 
 
-def _truth_record(obj: dict) -> tuple:
-    """("pose", (camera_id, t, people)) or ("det", (det_person key, person))."""
+def _truth_record(obj: dict, det_person: dict) -> tuple:
+    """("pose", (camera_id, t, people)) or ("det", (det_person key, person)),
+    where det_person maps the keys of the det records read so far."""
     kind = _field(obj, "kind")
     cid = _str_field(obj, "camera_id")
     t = _parse_ts(_field(obj, "timestamp"))
@@ -496,15 +490,20 @@ def _truth_record(obj: dict) -> tuple:
             _check_joint_count(len(pose), f"person {pid}")
         return kind, (cid, t, people)
     if kind == "det":
-        return kind, ((cid, t, _parse_int(_field(obj, "index"), "field 'index'")),
-                      _parse_int(_field(obj, "person"), "field 'person'"))
+        key = (cid, t, _parse_int(_field(obj, "index"), "field 'index'"))
+        person = _parse_int(_field(obj, "person"), "field 'person'")
+        if key in det_person:
+            raise ParseError(f"duplicate det record for camera {cid!r}, timestamp "
+                             f"{fmt_ts(t)}, index {key[2]}")
+        return kind, (key, person)
     raise ParseError(f"unknown record kind {kind!r}")
 
 
 def load_truth(path: str) -> GroundTruth:
-    """Ground truth; every pose must hold the skeleton's N_JOINTS joints."""
+    """Ground truth; every pose must hold the skeleton's N_JOINTS joints,
+    and no detection may have two det records."""
     truth = GroundTruth(pose_frames=[], det_person={}, noise={})
-    for kind, rec in _records(path, _truth_record):
+    for kind, rec in _records(path, lambda obj: _truth_record(obj, truth.det_person)):
         if kind == "pose":
             truth.pose_frames.append(rec)
         else:

@@ -4,7 +4,8 @@ These are the slow, obviously-correct references that the package's
 vectorized paths are checked against: assignment and partition by
 enumeration, per-point projection, per-joint triangulation, the per-pair
 target and epipolar affinities, the per-joint velocity regression and a
-per-joint view of the tracker's state, and the per-row wire format.
+per-joint view of the tracker's state, and the per-row wire format and
+its per-joint readers.
 Earlier, slower versions of the partition, the epipolar matrix and the DLT
 block pin the package's faster ones bit for bit. The epipolar-line helpers
 and the pair dict of fundamental matrices, which only the tests use, live
@@ -21,7 +22,8 @@ import numpy as np
 
 from posefuse.affinity import EPS_CLOCK, ChronologyViolation
 from posefuse.geometry import CameraView, fundamental_from_projections, hom
-from posefuse.io_cli import ParseError, _field, _loads, _parse_ts, _str_field, fmt_ts
+from posefuse.io_cli import (ParseError, TrackRow, _check_joint_count, _field, _loads,
+                             _parse_ts, _str_field, fmt_ts)
 from posefuse.tracker import Detection, FrameBatch, UnknownCamera
 
 
@@ -727,3 +729,61 @@ def parse_frame_line(line: str, path: str, lineno: int,
                 conf[j] = c
         dets.append(Detection(cid, t, xy, conf, index=i))
     return FrameBatch(cid, t, dets)
+
+
+def track_row(obj: dict) -> TrackRow:
+    """Per-joint reference for io_cli's track-row decoder: each joint row of
+    each target is checked and converted with float() on its own."""
+    t = _parse_ts(_field(obj, "timestamp"))
+    targets, times = {}, {}
+    raw_targets = _field(obj, "targets")
+    if not isinstance(raw_targets, list):
+        raise ParseError("field 'targets' must be a list")
+    for tg in raw_targets:
+        if not isinstance(tg, dict):
+            raise ParseError("each target must be an object")
+        tid = tg.get("id")
+        if type(tid) is not int:
+            raise ParseError("target id must be an integer")
+        if tid in targets:
+            raise ParseError(f"duplicate target id {tid}")
+        joints = tg.get("joints")
+        if not isinstance(joints, list):
+            raise ParseError(f"target {tid}: bad 'joints'")
+        _check_joint_count(len(joints), f"target {tid}")
+        xyz = np.full((len(joints), 3), np.nan)
+        jt = np.full(len(joints), np.nan)
+        for j, entry in enumerate(joints):
+            if entry is None:
+                continue
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ParseError(f"target {tid} joint {j}: expected [X, Y, Z] or null")
+            try:
+                xyz[j] = [float(v) for v in entry]
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"target {tid} joint {j}: expected numbers, "
+                                 f"got {entry!r}") from None
+        raw_times = tg.get("joint_times")
+        if raw_times is None:
+            raw_times = []
+        if not isinstance(raw_times, list) or len(raw_times) > len(joints):
+            raise ParseError(f"target {tid}: 'joint_times' must be a list with at "
+                             "most one entry per joint")
+        for j, entry in enumerate(raw_times):
+            if entry is not None:
+                jt[j] = _parse_ts(entry, "joint_times")
+        targets[tid] = xyz
+        times[tid] = jt
+    return TrackRow(t, targets, times)
+
+
+def truth_points(raw, what: str) -> np.ndarray:
+    """Per-row reference for io_cli._parse_points: each [X, Y, Z] row is
+    converted with float() on its own."""
+    try:
+        if isinstance(raw, list) and all(isinstance(r, list) and len(r) == 3
+                                         for r in raw):
+            return np.array([[float(x) for x in r] for r in raw]).reshape(-1, 3)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParseError(f"{what}: expected a list of [X, Y, Z] rows")

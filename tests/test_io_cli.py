@@ -286,11 +286,13 @@ def fuzz_number(rng, v, forms=5):
     return bool(int(v) % 2)
 
 
-def fuzz_joint(rng, bad_rate, forms):
+def fuzz_joint(rng, bad_rate, forms, null_rate=0.2):
+    """A joint row: malformed with chance bad_rate, else null with chance
+    null_rate - bad_rate, else three fuzzed numbers."""
     u = rng.random()
     if u < bad_rate:
         return BAD_JOINTS[rng.integers(len(BAD_JOINTS))]
-    if u < 0.2:
+    if u < null_rate:
         return None
     entry = [fuzz_number(rng, v, forms) for v in (rng.uniform(-50.0, 700.0),
                                                   rng.uniform(-50.0, 700.0),
@@ -325,38 +327,46 @@ def parse_outcome(parse, line, n_joints):
         return str(e)
 
 
-def holds_bool_or_string(line):
-    """Whether a joint of the line lists a boolean or a string among its values."""
-    return any(type(v) in (bool, str) for d in json.loads(line)["detections"]
-               for e in d["joints"] if isinstance(e, list) for v in e)
+def holds_malformed_joint(line):
+    """Whether a joint of the line is neither null nor three values that
+    float() converts."""
+    def convertible(v):
+        try:
+            float(v)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return True
+
+    return any(e is not None and not (isinstance(e, list) and len(e) == 3
+                                      and all(map(convertible, e)))
+               for d in json.loads(line)["detections"] for e in d["joints"])
 
 
 @pytest.fixture
 def parse_paths(monkeypatch):
-    """The path that each call of _frame takes, "block" for the
-    one-conversion path or "checked" for the checked loop, in call order."""
+    """The path that each call of _rows takes, "one call" where its
+    np.array call converts the entries or "float pass" where it reaches
+    the float() pass, in call order."""
     paths = []
-    block, checked = io_cli._joint_block, io_cli._checked_joint_rows
+    rows, convertible = io_cli._rows, io_cli._convertible
 
-    def spy_block(raw_dets, n_joints):
-        rows = block(raw_dets, n_joints)
-        if rows is not None:
-            paths.append("block")
-        return rows
+    def spy_rows(entries, missing):
+        paths.append("one call")
+        return rows(entries, missing)
 
-    def spy_checked(raw_dets, n_joints):
-        paths.append("checked")
-        return checked(raw_dets, n_joints)
+    def spy_convertible(flat):
+        paths[-1] = "float pass"
+        return convertible(flat)
 
-    monkeypatch.setattr(io_cli, "_joint_block", spy_block)
-    monkeypatch.setattr(io_cli, "_checked_joint_rows", spy_checked)
+    monkeypatch.setattr(io_cli, "_rows", spy_rows)
+    monkeypatch.setattr(io_cli, "_convertible", spy_convertible)
     return paths
 
 
 def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(parse_paths):
     rng = np.random.default_rng(5)
     parsed = failed = 0
-    taken = {"block": 0, "checked": 0}
+    taken = {"one call": 0, "float pass": 0}
     for _ in range(3000):
         line, k = fuzz_frame_line(rng, plain_rate=0.3)
         n_joints = None if rng.random() < 0.5 else k + int(rng.random() < 0.02)
@@ -365,9 +375,9 @@ def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(parse_paths):
         want = parse_outcome(oracles.parse_frame_line, line, n_joints)
         for p in set(parse_paths):
             taken[p] += 1
-        # a boolean or a numeric string converts only through float()
-        if holds_bool_or_string(line):
-            assert "block" not in parse_paths, line
+        # the float() pass runs only to find a malformed joint
+        if not holds_malformed_joint(line):
+            assert "float pass" not in parse_paths, line
         if isinstance(want, str):
             failed += 1
             assert got == want
@@ -375,7 +385,108 @@ def test_parse_frame_line_matches_per_joint_oracle_on_fuzzed_lines(parse_paths):
         parsed += 1
         assert_same_frame(got, want)
     assert parsed > 2000 and failed > 200
-    assert taken["block"] > 250 and taken["checked"] > 1000, taken
+    assert taken["one call"] > 1800 and taken["float pass"] > 250, taken
+
+
+# 'joint_times' values: no times (absent or null), or not a list of them
+JOINT_TIMES = [None, 0, False, "", {}, 5, "0.5", [None] * (N_JOINTS + 1),
+               ["0.500000000", True], ["x"], ["1e400"]]
+
+
+def fuzz_target(rng, tid, bad_rate, forms):
+    k = N_JOINTS if rng.random() > 0.02 else N_JOINTS - 1
+    target = {"id": tid, "joints": [fuzz_joint(rng, bad_rate, forms) for _ in range(k)]}
+    u = rng.random()
+    if u < 0.9:
+        target["joint_times"] = [None if rng.random() < 0.2 else
+                                 "%.9f" % rng.uniform(0.0, 9.0) for _ in range(k)]
+    elif u < 0.95:
+        target["joint_times"] = JOINT_TIMES[rng.integers(len(JOINT_TIMES))]
+    return target
+
+
+def fuzz_track_line(rng):
+    """A track row of up to four targets whose joints draw from every value
+    form; about one row in three may carry a malformed joint, and a rare
+    one a repeated id, a boolean id or a short target."""
+    bad_rate = 0.02 if rng.random() < 0.3 else 0.0
+    forms = 2 if rng.random() < 0.3 else 5
+    ids = [int(i) for i in rng.permutation(50)[:rng.integers(0, 5)]]
+    if len(ids) > 1 and rng.random() < 0.05:
+        ids[-1] = ids[0]
+    if ids and rng.random() < 0.02:
+        ids[0] = True
+    return json.dumps({"timestamp": "%.9f" % rng.uniform(0.0, 9.0),
+                       "targets": [fuzz_target(rng, tid, bad_rate, forms) for tid in ids]})
+
+
+def fuzz_truth_line(rng):
+    """A pose record of up to four people whose points draw from every value
+    form; about one record in three may carry a malformed or null point."""
+    bad_rate = 0.01 if rng.random() < 0.3 else 0.0
+    forms = 2 if rng.random() < 0.3 else 5
+    people = {str(pid): [fuzz_joint(rng, bad_rate, forms, null_rate=2 * bad_rate)
+                         for _ in range(N_JOINTS)]
+              for pid in rng.permutation(50)[:rng.integers(0, 5)]}
+    return truth_line(people)
+
+
+def reader_outcome(load, path):
+    try:
+        return load(path)
+    except io_cli.ParseError as e:
+        return str(e)
+
+
+def assert_same_arrays(got: dict, want: dict):
+    assert list(got) == list(want)
+    for key, w in want.items():
+        assert got[key].shape == w.shape and got[key].dtype == w.dtype
+        assert got[key].tobytes() == w.tobytes()
+
+
+def test_load_tracks_matches_per_joint_oracle_on_fuzzed_rows(tmp_path):
+    rng = np.random.default_rng(31)
+    path = str(tmp_path / "tracks.jsonl")
+    parsed = failed = 0
+    for _ in range(1500):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(fuzz_track_line(rng) + "\n")
+        got = reader_outcome(io_cli.load_tracks, path)
+        want = reader_outcome(lambda p: list(io_cli._records(p, oracles.track_row)), path)
+        if isinstance(want, str):
+            failed += 1
+            assert got == want
+            continue
+        parsed += 1
+        (g,), (w,) = got, want
+        assert g.timestamp == w.timestamp
+        assert_same_arrays(g.targets, w.targets)
+        assert_same_arrays(g.joint_times, w.joint_times)
+    assert parsed > 650 and failed > 650, (parsed, failed)
+
+
+def test_load_truth_matches_per_row_oracle_on_fuzzed_poses(tmp_path, monkeypatch):
+    rng = np.random.default_rng(37)
+    path = str(tmp_path / "truth.jsonl")
+    parsed = failed = 0
+    for _ in range(1500):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(fuzz_truth_line(rng) + "\n" + det_line() + "\n")
+        got = reader_outcome(io_cli.load_truth, path)
+        with monkeypatch.context() as m:
+            m.setattr(io_cli, "_parse_points", oracles.truth_points)
+            want = reader_outcome(io_cli.load_truth, path)
+        if isinstance(want, str):
+            failed += 1
+            assert got == want
+            continue
+        parsed += 1
+        assert got.det_person == want.det_person
+        ((gc, gt, gp),), ((wc, wt, wp),) = got.pose_frames, want.pose_frames
+        assert (gc, gt) == (wc, wt)
+        assert_same_arrays(gp, wp)
+    assert parsed > 700 and failed > 650, (parsed, failed)
 
 
 def assert_same_frame(got, want):
@@ -538,6 +649,12 @@ CRAFTED_LINES = [
     *(crafted_line("[[1.0, 2.0, %s], [1.0, 2.0, 0.25]]" % b) for b in BIG),
     *(crafted_line("[[1.0, 2.0, 0.5]], \"x\": [%s]}, {\"joints\": [[1, 2]]" % b)
       for b in BIG),
+    # the first of two faults in reading order decides the message
+    crafted_line('[[1.0, "abc", 0.5], [1.0, 2.0]]'),
+    crafted_line('[[1.0, "abc", 0.5], null]}, {"joints": [[1.0, 2.0], null]'),
+    crafted_line('[[1.0, 2.0, 0.5], [1.0, 2.0, 0.5]]}, {"joints": [[1.0, 2.0], null]'),
+    crafted_line('[[1.0, 2.0, NaN], [1.0, "abc", 0.5]]'),
+    crafted_line('[[1.0, 2.0, Infinity], null]}, {"joints": [null, [1.0]]'),
 ]
 
 
@@ -558,7 +675,7 @@ def test_parse_frame_line_matches_per_joint_oracle_on_crafted_and_double_lines(p
     rng = np.random.default_rng(29)
     doubles = [random_double_line(rng) for _ in range(500)]
     for i, line in enumerate(CRAFTED_LINES + doubles):
-        for n_joints in (None, 2, 4):
+        for n_joints in (None, 0, 2, 4):
             parse_paths.clear()
             got = parse_outcome(io_cli.parse_frame_line, line, n_joints)
             want = parse_outcome(oracles.parse_frame_line, line, n_joints)
@@ -566,9 +683,10 @@ def test_parse_frame_line_matches_per_joint_oracle_on_crafted_and_double_lines(p
                 assert got == want
             else:
                 assert_same_frame(got, want)
-            # a double line's detections have four joints each
-            if i >= len(CRAFTED_LINES) and n_joints != 2:
-                assert parse_paths == ["block"], line
+            # a double line converts in one call, whatever its joint count;
+            # a line that raises ParseError is converted again from json
+            if i >= len(CRAFTED_LINES):
+                assert set(parse_paths) == {"one call"}, line
 
 
 def test_parse_frame_line_decodes_as_the_stdlib_path():
@@ -1023,6 +1141,13 @@ VALID_EVALUATE_INPUTS = {
      ":1: field 'target' must be an integer or null"),
     ("assignments", assignment_line(timestamp=True),
      ":1: field 'timestamp': bad timestamp True"),
+    *(("tracks", track_line([dict(TARGET, joint_times=v)]),
+       ":1: target 0: 'joint_times' must be a list with at most one entry per joint")
+      for v in (0, False, "", {})),
+    ("tracks", track_line([TARGET, dict(TARGET, joints=POSE[::-1])]),
+     ":1: duplicate target id 0"),
+    ("truth", "\n".join([truth_line({"0": POSE}), det_line(), det_line(person=1)]),
+     ":3: duplicate det record for camera 'cam00', timestamp 0.000000000, index 0"),
 ], ids=["person-id", "people-list", "pose-pairs", "pose-text", "pose-joint-count",
         "truth-camera", "targets-number", "target-number", "joint-text",
         "joint-times-long", "target-joint-count", "assignment-target",
@@ -1030,7 +1155,9 @@ VALID_EVALUATE_INPUTS = {
         "det-index-text", "det-person-bool", "person-id-spaced", "person-id-zero-led",
         "det-timestamp-bool", "target-id-bool", "tracks-timestamp-bool",
         "assignment-index-float", "assignment-target-bool",
-        "assignment-timestamp-bool"])
+        "assignment-timestamp-bool", "joint-times-zero", "joint-times-false",
+        "joint-times-empty-string", "joint-times-object", "target-id-repeated",
+        "det-repeated"])
 def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, content,
                                                     where):
     files = {}
@@ -1049,6 +1176,16 @@ def test_malformed_evaluate_inputs_are_parse_errors(tmp_path, capsys, bad, conte
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_absent_or_null_joint_times_are_no_times(tmp_path):
+    path = tmp_path / "tracks.jsonl"
+    target = {"id": 0, "joints": POSE}
+    path.write_text(track_line([target, dict(target, id=1, joint_times=None)]) + "\n")
+    (row,) = io_cli.load_tracks(str(path))
+    assert list(row.joint_times) == [0, 1]
+    for jt in row.joint_times.values():
+        assert jt.shape == (N_JOINTS,) and np.isnan(jt).all()
 
 
 @pytest.mark.parametrize("bad", ["calib", "input", "truth", "tracks", "assignments"])
