@@ -1,10 +1,11 @@
 """Timing harness for `posefuse bench`: per-step tracker latency and the
-per-frame baseline's cost on synthetic ceiling-grid scenes."""
+per-frame baseline's cost on synthetic ceiling-grid scenes, both under the
+default config."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +30,7 @@ class BenchRow:
     p99_ms: float
 
 
-BENCH_HEADER = ("variant,cameras,people,steps,frames,elapsed_s,per_frame_ms,"
-                "fps,p50_ms,p90_ms,p99_ms")
+BENCH_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def bench_csv_line(r: BenchRow) -> str:
@@ -63,17 +63,15 @@ def _timed(variant: str, call, items, n_cam: int, n_people: int,
                     n_frames / elapsed if elapsed > 0 else 0.0, p50, p90, p99)
 
 
-def bench_tracker(cams, frames, n_people: int,
-                  cfg: TrackerConfig | None = None) -> BenchRow:
+def bench_tracker(cams, frames, n_people: int) -> BenchRow:
     """Per-step latency over a preloaded stream; one frame = every camera once."""
-    return _timed("tracker", CrossViewTracker(cams, cfg).step, frames, len(cams),
+    return _timed("tracker", CrossViewTracker(cams).step, frames, len(cams),
                   n_people, len(frames) / len(cams))
 
 
-def bench_baseline(cams, frames, n_people: int,
-                   cfg: TrackerConfig | None = None) -> BenchRow:
+def bench_baseline(cams, frames, n_people: int) -> BenchRow:
     """Times the per-frame brute-force clustering over synchronized groups."""
-    cfg = cfg or TrackerConfig()
+    cfg = TrackerConfig()
     groups = synchronized_groups(frames)
     ftable = build_fundamental_table(cams)
     return _timed("baseline", lambda g: baseline_alg_s1(g, cams, cfg, ftable),

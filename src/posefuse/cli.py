@@ -6,13 +6,14 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import bench, io_cli
 from .affinity import TrackerConfig
-from .evaluation import association_accuracy, framerate_sweep, mot_metrics, pcp, \
-    project_step_roots
+from .evaluation import SweepRow, association_accuracy, framerate_sweep, mot_metrics, \
+    pcp, project_step_roots
 from .geometry import CoincidentCenters, RankDeficientP
-from .simulator import InvalidSpec, generate
+from .simulator import N_JOINTS, InvalidSpec, generate
 from .tracker import ChronologyViolation, CrossViewTracker, UnknownCamera
 
 
@@ -72,23 +73,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_truth_times(truth, times, path: str) -> None:
+    """A ParseError naming path if truth has no frame at one of times."""
+    for t in times:
+        try:
+            truth.poses_at(t)
+        except KeyError as e:
+            raise io_cli.ParseError(f"{path}: timestamp not present in truth: {e}") from None
+
+
 def _cell(c) -> dict:
     return {"correct": c.correct, "total": c.total, "score": c.score}
-
-
-def _mot_stats(s) -> dict:
-    return {"mota": s.mota, "idf1": s.idf1, "fp": s.fp, "fn": s.fn, "ids": s.ids}
 
 
 def cmd_evaluate(args) -> int:
     truth = io_cli.load_truth(args.truth)
     rows = io_cli.load_tracks(args.tracks)
     est = [(r.timestamp, r.targets) for r in rows]
-    try:
-        rep = pcp(est, truth)
-    except KeyError as e:
-        raise io_cli.ParseError(
-            f"{args.tracks}: timestamp not present in truth: {e}") from None
+    _check_truth_times(truth, [t for t, targets in est if targets], args.tracks)
+    rep = pcp(est, truth)
     report = {"pcp": {
         "overall": _cell(rep.overall),
         "per_part": {p: _cell(c) for p, c in rep.per_part.items()},
@@ -132,8 +135,8 @@ def cmd_evaluate(args) -> int:
         mot = mot_metrics(project_step_roots(series, cams, truth))
         report["mot"] = {
             "note": "simplified root-distance matching",
-            "per_camera": {c: _mot_stats(s) for c, s in mot.per_camera.items()},
-            "overall": _mot_stats(mot.overall)}
+            "per_camera": {c: asdict(s) for c, s in mot.per_camera.items()},
+            "overall": asdict(mot.overall)}
 
     if args.framerate_sweep:
         if not args.input:
@@ -148,16 +151,17 @@ def cmd_evaluate(args) -> int:
                 f"bad --framerate-sweep value {args.framerate_sweep!r}: every "
                 "rate divisor must be at least 1")
         frames = io_cli.load_detections(args.input)
+        # iter_detections held every detection to the first one's joint count
+        k = next((len(f.detections[0].joints) for f in frames if f.detections), N_JOINTS)
+        if k != N_JOINTS:
+            raise io_cli.ParseError(f"{args.input}: detections have {k} joints, "
+                                    f"expected {N_JOINTS}")
+        _check_truth_times(truth, [f.timestamp for f in frames], args.input)
         cfg = io_cli.load_config(args.config) if args.config else None
         sweep = framerate_sweep(cams, frames, truth, n_values, cfg)
-        report["framerate_sweep"] = [
-            {"n": r.n, "pcp_weighted": r.pcp_weighted,
-             "pcp_unweighted": r.pcp_unweighted,
-             "mean_dt_weighted": r.mean_dt_weighted,
-             "mean_dt_unweighted": r.mean_dt_unweighted} for r in sweep]
+        report["framerate_sweep"] = [asdict(r) for r in sweep]
         with open(args.report + ".tsv", "w", encoding="utf-8") as f:
-            f.write("n\tpcp_weighted\tpcp_unweighted\t"
-                    "mean_dt_weighted\tmean_dt_unweighted\n")
+            f.write("\t".join(col.name for col in fields(SweepRow)) + "\n")
             for r in sweep:
                 f.write(f"{r.n}\t{r.pcp_weighted:.4f}\t{r.pcp_unweighted:.4f}\t"
                         f"{r.mean_dt_weighted:.6f}\t{r.mean_dt_unweighted:.6f}\n")

@@ -27,6 +27,8 @@ PART_EDGES: dict[str, list[tuple[int, int]]] = {
 }
 
 ROOT_JOINTS = (8, 9)  # hips; their mean is the MOT matching root
+PCP_ALPHA = 0.5  # a correct part's error bound, as a fraction of its bone
+MOT_THRESHOLD_PX = 50.0  # the farthest, in pixels, a matched root lies from its truth
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,16 @@ def _root_distance(ex: np.ndarray, tx: np.ndarray) -> float:
     return float(np.hypot(*(ex - tx)))
 
 
-def pcp(estimates, truth, alpha: float = 0.5) -> PcpReport:
-    """Percentage of correct parts at threshold alpha x true bone length.
+def pcp(estimates, truth) -> PcpReport:
+    """Percentage of correct parts at threshold PCP_ALPHA x true bone length.
 
     estimates: iterable of (timestamp, {track_id: (K, 3) joints}).
     truth: object with poses_at(timestamp) -> {person_id: (K, 3)}.
     A part is correct when the mean distance of its two estimated endpoints
-    to the true endpoints is within alpha times the true bone length. In a
-    frame carrying any estimate, truth people left unmatched count every part
-    as incorrect; frames with no estimates at all are skipped, so totals stay
-    fixed under estimate noise but warm-up frames do not drag the score.
+    to the true endpoints is within PCP_ALPHA times the true bone length. In
+    a frame carrying any estimate, truth people left unmatched count every
+    part as incorrect; frames with no estimates at all are skipped, so totals
+    stay fixed under estimate noise but warm-up frames do not drag the score.
     """
     part_c = {p: 0 for p in PART_EDGES}
     part_t = {p: 0 for p in PART_EDGES}
@@ -141,7 +143,7 @@ def pcp(estimates, truth, alpha: float = 0.5) -> PcpReport:
                     bone = np.linalg.norm(tp[a] - tp[b])
                     err = 0.5 * (np.linalg.norm(ep[a] - tp[a])
                                  + np.linalg.norm(ep[b] - tp[b]))
-                    if err <= alpha * bone:
+                    if err <= PCP_ALPHA * bone:
                         part_c[part] += 1
                         pers_c[pid] = pers_c.get(pid, 0) + 1
     per_part = {p: PcpCell(part_c[p], part_t[p]) for p in PART_EDGES}
@@ -187,18 +189,18 @@ def _mot_for_series(series) -> MotCameraStats:
     fp = fn = ids = n_truth = n_est = 0
     last_id: dict[int, int] = {}
     co: dict[tuple[int, int], int] = {}
-    for est, true, thresh in series:
+    for est, true in series:
         # carried-over pairs stay matched while still within the threshold, so
         # a mere proximity of other tracks cannot flip an established identity
         kept = {}
         for pid, tx in true.items():
             tid = last_id.get(pid)
             if tid is not None and tid in est and tid not in kept.values() \
-                    and _root_distance(est[tid], tx) <= thresh:
+                    and _root_distance(est[tid], tx) <= MOT_THRESHOLD_PX:
                 kept[pid] = tid
         rest_true = {p: x for p, x in true.items() if p not in kept}
         rest_est = {e: x for e, x in est.items() if e not in kept.values()}
-        m = _greedy_match(rest_est, rest_true, _root_distance, thresh)
+        m = _greedy_match(rest_est, rest_true, _root_distance, MOT_THRESHOLD_PX)
         m.update(kept)
         fp += len(est) - len(m)
         fn += len(true) - len(m)
@@ -232,7 +234,7 @@ def root_of(joints: np.ndarray) -> np.ndarray:
 
 def project_step_roots(step_series, cams: list[CameraView],
                        truth) -> dict[str, list]:
-    """Build per-camera (estimate roots, truth roots, threshold) frame triples.
+    """Build per-camera (estimate roots, truth roots) frame pairs.
 
     step_series: iterable of (camera_id, timestamp, {track_id: (K, 3)}).
     Estimated and true roots are projected into the step's own camera; people
@@ -261,8 +263,7 @@ def project_step_roots(step_series, cams: list[CameraView],
     return out
 
 
-def mot_metrics(per_camera_frames: dict[str, list],
-                dist_threshold: float = 50.0) -> MotReport:
+def mot_metrics(per_camera_frames: dict[str, list]) -> MotReport:
     """Simplified MOT counts per camera from (estimates, truth) root frames.
 
     per_camera_frames: {camera_id: [(est {id: xy}, true {id: xy}), ...]}.
@@ -273,9 +274,8 @@ def mot_metrics(per_camera_frames: dict[str, list],
     per_cam = {}
     pooled = []
     for cid in sorted(per_camera_frames):
-        series = [(est, true, dist_threshold) for est, true in per_camera_frames[cid]]
-        per_cam[cid] = _mot_for_series(series)
-        pooled.extend(series)
+        per_cam[cid] = _mot_for_series(per_camera_frames[cid])
+        pooled.extend(per_camera_frames[cid])
     return MotReport(per_cam, _mot_for_series(pooled))
 
 

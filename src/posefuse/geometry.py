@@ -26,8 +26,8 @@ class CameraView:
     """One calibrated camera. Immutable after construction.
 
     P maps homogeneous world meters to homogeneous pixels. P_plus is the
-    Moore-Penrose pseudo-inverse, cached because back-projection runs in
-    the per-detection hot path. center is the camera center in meters.
+    Moore-Penrose pseudo-inverse, from which the fundamental matrices and
+    the tracker's rays are built. center is the camera center in meters.
     """
 
     id: str

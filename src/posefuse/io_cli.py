@@ -4,14 +4,12 @@ Every stream is one JSON object per line. Timestamps travel as decimal
 strings with nine fractional digits so values survive write/read/write
 byte-identically; floats elsewhere rely on the shortest round-trip repr.
 
-Detection lines and track and assignment records go through orjson, and
-come out byte for byte as through the stdlib json module, which reads and
-writes everything else. parse_frame_line decodes with orjson. It decodes
-again with json a line that orjson rejects (NaN, a number past the float
-range, a lone surrogate) and a line whose frame raises ParseError, since
-orjson reads an integer past 64 bits as a float, which the message would
-quote. dumps lets orjson write a record only when its builder has checked
-that orjson prints it as json does:
+Every line reader decodes with orjson, and decodes again with the stdlib
+json module a line that orjson rejects (NaN, a number past the float range,
+a lone surrogate) or whose record raises ParseError, since orjson reads an
+integer past 64 bits as a float; so values and messages are json's.
+Writers use json, except that dumps lets orjson write a _Plain record,
+whose values were checked, when it was made, to print under both alike:
 - every float is 0, or finite with a magnitude in [1e-4, 1e16), where both
   print the shortest repr; orjson writes 1e-05 as 0.00001, 1e+16 as 1e16
   and NaN as null;
@@ -87,6 +85,15 @@ def _loads(line: str) -> dict:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid record: {e}") from None
     return _object(obj)
+
+
+def _decode(line: str, convert, *args):
+    """convert(obj, *args) for the JSON object on line, decoded by orjson,
+    or by json where orjson rejects the line or convert raises ParseError."""
+    try:
+        return convert(_object(orjson.loads(line)), *args)
+    except (orjson.JSONDecodeError, ParseError):
+        return convert(_loads(line), *args)
 
 
 def _field(obj: dict, key: str):
@@ -197,13 +204,13 @@ def _at(path: str, lineno: int, what) -> ParseError:
     return ParseError(f"{path}:{lineno}: {what}")
 
 
-def _records(path: str, decode):
-    """decode(obj) for the JSON object on each non-blank line of path."""
+def _records(path: str, convert):
+    """convert(obj) for the JSON object on each non-blank line of path."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if line.strip():
                 try:
-                    record = decode(_loads(line))
+                    record = _decode(line, convert)
                 except ParseError as e:
                     raise _at(path, lineno, e) from None
                 yield record
@@ -220,7 +227,6 @@ def load_calibration(path: str) -> list[CameraView]:
         cid = _str_field(obj, "id")
         if cid in seen:
             raise ParseError(f"duplicate camera id {cid!r}")
-        seen.add(cid)
         P = _field(obj, "P")
         if not isinstance(P, list) or len(P) != 12:
             raise ParseError("field 'P' must hold 12 numbers")
@@ -238,6 +244,8 @@ def load_calibration(path: str) -> list[CameraView]:
                 and all(type(v) is int and v > 0 for v in size)):
             raise ParseError(f"field 'image_size' must be two positive integers "
                              f"[w, h], got {size!r}")
+        # only now, as a camera that raises ParseError is converted again
+        seen.add(cid)
         return CameraView.from_projection(cid, P_arr, tuple(size))
 
     cams = list(_records(path, camera))
@@ -268,16 +276,9 @@ def parse_frame_line(line: str, path: str, lineno: int,
     The joints of all detections become one (M, K, 3) array of
     [x, y, confidence] rows in one _rows call; each Detection holds views
     of its rows. A joint that is null or has a non-finite x or y is a NaN
-    row with confidence 0, and a non-finite confidence is a ParseError.
-
-    Where orjson accepts a line, every number it holds passes through
-    float() and comes out as from json, so only a line that orjson rejects
-    or that raises ParseError is decoded again with json."""
+    row with confidence 0, and a non-finite confidence is a ParseError."""
     try:
-        try:
-            return _frame(_object(orjson.loads(line)), n_joints)
-        except (orjson.JSONDecodeError, ParseError):
-            return _frame(_loads(line), n_joints)
+        return _decode(line, _frame, n_joints)
     except ParseError as e:
         raise _at(path, lineno, e) from None
 

@@ -9,6 +9,7 @@ are unsynchronized by default.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,6 +29,7 @@ DEFAULT_BONES = {
     "upper_arm": 0.30, "lower_arm": 0.28, "upper_leg": 0.45, "lower_leg": 0.45,
 }
 ROOT_HEIGHT = 0.95
+TIME_TOL = 1e-6  # seconds between a timestamp and the truth frame it names
 
 
 class InvalidSpec(ValueError):
@@ -152,15 +154,9 @@ class GroundTruth:
     det_person: dict[tuple[str, float, int], int]
     noise: dict[tuple[str, float, int], np.ndarray] = field(default_factory=dict)
 
-    def poses_at(self, t: float, tol: float = 1e-6) -> dict[int, np.ndarray]:
-        lo, hi = 0, len(self.pose_frames)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.pose_frames[mid][1] < t - tol:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.pose_frames) and abs(self.pose_frames[lo][1] - t) <= tol:
+    def poses_at(self, t: float) -> dict[int, np.ndarray]:
+        lo = bisect_left(self.pose_frames, t - TIME_TOL, key=lambda row: row[1])
+        if lo < len(self.pose_frames) and abs(self.pose_frames[lo][1] - t) <= TIME_TOL:
             return self.pose_frames[lo][2]
         raise KeyError(f"no ground-truth frame at t={t}")
 

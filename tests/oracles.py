@@ -5,7 +5,7 @@ vectorized paths are checked against: assignment and partition by
 enumeration, per-point projection, per-joint triangulation, the per-pair
 target and epipolar affinities, the per-joint velocity regression and a
 per-joint view of the tracker's state, and the per-row wire format and
-its per-joint readers.
+its per-joint and json-only readers.
 Earlier, slower versions of the partition, the epipolar matrix and the DLT
 block pin the package's faster ones bit for bit. The epipolar-line helpers
 and the pair dict of fundamental matrices, which only the tests use, live
@@ -22,8 +22,8 @@ import numpy as np
 
 from posefuse.affinity import EPS_CLOCK, ChronologyViolation
 from posefuse.geometry import CameraView, fundamental_from_projections, hom
-from posefuse.io_cli import (ParseError, TrackRow, _check_joint_count, _field, _loads,
-                             _parse_ts, _str_field, fmt_ts)
+from posefuse.io_cli import (ParseError, TrackRow, _at, _check_joint_count, _field,
+                             _loads, _parse_ts, _str_field, fmt_ts)
 from posefuse.tracker import Detection, FrameBatch, UnknownCamera
 
 
@@ -666,6 +666,19 @@ def dlt_block(P: np.ndarray, xy: np.ndarray, weighted: bool) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ wire format
+
+def records(path: str, convert):
+    """json-only reference for io_cli._records: convert(obj) for the object
+    that the stdlib json module alone decodes from each non-blank line."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    record = convert(_loads(line))
+                except ParseError as e:
+                    raise _at(path, lineno, e) from None
+                yield record
+
 
 def track_record(step) -> dict:
     """Per-row reference for io_cli.track_record: each joint row and joint

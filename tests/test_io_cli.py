@@ -453,7 +453,7 @@ def test_load_tracks_matches_per_joint_oracle_on_fuzzed_rows(tmp_path):
         with open(path, "w", encoding="utf-8") as f:
             f.write(fuzz_track_line(rng) + "\n")
         got = reader_outcome(io_cli.load_tracks, path)
-        want = reader_outcome(lambda p: list(io_cli._records(p, oracles.track_row)), path)
+        want = reader_outcome(lambda p: list(oracles.records(p, oracles.track_row)), path)
         if isinstance(want, str):
             failed += 1
             assert got == want
@@ -476,6 +476,7 @@ def test_load_truth_matches_per_row_oracle_on_fuzzed_poses(tmp_path, monkeypatch
         got = reader_outcome(io_cli.load_truth, path)
         with monkeypatch.context() as m:
             m.setattr(io_cli, "_parse_points", oracles.truth_points)
+            m.setattr(io_cli, "_records", oracles.records)
             want = reader_outcome(io_cli.load_truth, path)
         if isinstance(want, str):
             failed += 1
@@ -709,6 +710,101 @@ def test_parse_frame_line_decodes_as_the_stdlib_path():
     assert by_orjson > 3000
 
 
+CAMERA_P = [1000, 0, 640, 2000, 0, 1000, 360, 500, 0, 0, 1, 4]
+
+
+def camera_line(**kw):
+    return json.dumps(dict({"id": "cam00", "P": CAMERA_P, "image_size": [1280, 720]},
+                           **kw))
+
+
+# integers past 2**63: in 64 bits, past them (orjson reads those as floats),
+# and past the float range (orjson rejects those)
+WIDE = [2 ** 63, 2 ** 64 - 1, *map(int, BIG)]
+CALIBRATION_CASES = [
+    # orjson reads [2**64, 720] as a float, so that camera is converted twice
+    *(camera_line(image_size=[b, 720]) for b in WIDE),
+    *(camera_line(image_size=[1280, b]) for b in WIDE),
+    # one wide entry leaves P of rank < 3 in floats; a wide diagonal does not
+    *(camera_line(P=CAMERA_P[:3] + [b] + CAMERA_P[4:]) for b in WIDE),
+    *(camera_line(P=[b, 0, 0, 2000, 0, b, 0, 500, 0, 0, b, 4]) for b in WIDE),
+    camera_line(P=CAMERA_P[:3] + [math.nan] + CAMERA_P[4:]),
+    camera_line(image_size=[math.nan, 720]),
+    camera_line(id=math.nan),
+    camera_line(id="\ud800"),
+    camera_line(id="cam\udc00\ud800", image_size=[2 ** 64, 720]),
+]
+
+
+def decode_outcomes(load, path, monkeypatch):
+    """The outcomes of load(path), and of load(path) with every line decoded
+    by the stdlib json alone: a value, or an error's type and message."""
+    outcomes = []
+    for json_only in (False, True):
+        with monkeypatch.context() as m:
+            if json_only:
+                m.setattr(io_cli, "_records", oracles.records)
+            try:
+                outcomes.append(load(path))
+            except (io_cli.ParseError, RankDeficientP) as e:
+                outcomes.append(f"{type(e).__name__}: {e}")
+    return outcomes
+
+
+def typed(values) -> list:
+    """Each value's type and repr, so that 2**64 and 2.0**64 differ and
+    equal floats have equal bits."""
+    return [(type(v), repr(v)) for v in values]
+
+
+# a second camera line, and how many of the cases load; a second cam00
+# line is a duplicate of every case that loads but the two surrogate ids
+@pytest.mark.parametrize("second, loaded", [(None, 22), (camera_line(id="cam01"), 22),
+                                            (camera_line(), 2)],
+                         ids=["alone", "then-cam01", "then-cam00"])
+def test_load_calibration_decodes_as_the_stdlib_path(tmp_path, monkeypatch, second,
+                                                     loaded):
+    path = str(tmp_path / "calibration.jsonl")
+    parsed = 0
+    for line in CALIBRATION_CASES:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(line + "\n" + (second + "\n" if second else ""))
+        got, want = decode_outcomes(io_cli.load_calibration, path, monkeypatch)
+        if isinstance(want, str):
+            assert got == want, line
+            continue
+        parsed += 1
+        assert len(got) == len(want), line
+        for g, w in zip(got, want):
+            assert typed((g.id, *g.image_size)) == typed((w.id, *w.image_size)), line
+            for a in ("P", "P_plus", "center"):
+                assert getattr(g, a).tobytes() == getattr(w, a).tobytes(), line
+    assert parsed == loaded
+
+
+def test_load_assignments_decodes_as_the_stdlib_path(tmp_path, monkeypatch):
+    path = str(tmp_path / "assignments.jsonl")
+    cases = [*(assignment_line(index=b) for b in WIDE),
+             *(assignment_line(target=b) for b in WIDE),
+             *(assignment_line(timestamp=b) for b in WIDE),
+             assignment_line(index=math.nan), assignment_line(target=math.nan),
+             assignment_line(timestamp=math.nan, target=None),
+             assignment_line(camera_id="\ud800", target=None),
+             assignment_line(camera_id="\ud800", index=2 ** 64)]
+    parsed = 0
+    for line in cases:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(line + "\n" + assignment_line(index=1) + "\n")
+        got, want = decode_outcomes(io_cli.load_assignments, path, monkeypatch)
+        if isinstance(want, str):
+            assert got == want, line
+            continue
+        parsed += 1
+        assert [typed(vars(r).values()) for r in got] == \
+            [typed(vars(r).values()) for r in want], line
+    assert parsed >= 20, parsed
+
+
 def test_config_key_value_text():
     cfg = io_cli.parse_config_text(
         "alpha2d = 45 # px per second\n\nw2d=0.5\nvelocity_window = 6\n"
@@ -921,6 +1017,48 @@ def test_evaluate_framerate_sweep_rejects_divisors_below_1(tmp_path, capsys, div
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1
     assert "at least 1" in err
     assert not report.exists() and not (tmp_path / "report.json.tsv").exists()
+
+
+def sweep_on_edited_detections(tmp_path, edit):
+    """`evaluate --framerate-sweep 1` on a one-person scene whose detection
+    records, but not its tracks, edit(records) changed; returns the exit
+    code and the detection file."""
+    calib, dets, truth = write_scene_files(tmp_path, n_people=1, duration=0.5, seed=1)
+    tracks = tmp_path / "tracks.jsonl"
+    assert main(["track", "--calib", str(calib), "--input", str(dets),
+                 "--output", str(tracks)]) == 0
+    records = [json.loads(line) for line in dets.read_text().splitlines()]
+    edit(records)
+    dets.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(["evaluate", "--truth", str(truth), "--tracks", str(tracks),
+                 "--report", str(tmp_path / "report.json"), "--framerate-sweep", "1",
+                 "--calib", str(calib), "--input", str(dets)])
+    assert not (tmp_path / "report.json").exists()
+    return code, dets
+
+
+def test_evaluate_framerate_sweep_rejects_a_frame_without_truth(tmp_path, capsys):
+    def late_copy(records):
+        records.append(dict(records[-1], timestamp="0.777000000"))
+
+    code, dets = sweep_on_edited_detections(tmp_path, late_copy)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: ParseError: {dets}: timestamp not present in truth: "
+        "'no ground-truth frame at t=0.777'\n")
+
+
+def test_evaluate_framerate_sweep_rejects_detections_of_another_skeleton(tmp_path,
+                                                                        capsys):
+    def three_joints(records):
+        for r in records:
+            for d in r["detections"]:
+                d["joints"] = d["joints"][:3]
+
+    code, dets = sweep_on_edited_detections(tmp_path, three_joints)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: ParseError: {dets}: detections have 3 joints, expected {N_JOINTS}\n")
 
 
 @pytest.mark.parametrize("command, calib_lines, message", [

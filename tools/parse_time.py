@@ -4,14 +4,15 @@
 
 For grid12 and clutter8 at seed N (11 by default), prepares the input
 files with each tree's `benchmark/drive.py prepare` in a temporary
-directory, and tracks each workload once with that tree's `posefuse
-track`. Then it times, for each tree, `parse_frame_line` over every line of
-the detection file (called as `benchmark/drive.py` calls it), and
-`load_tracks` and `load_truth` on the tracks and truth files. Both trees'
-packages are loaded in this one process, and each round times them in
-alternating order, since a fixed order misleads. Prints, per workload and
-reader, each tree's minimum and median over the rounds of the time per
-line, in microseconds. The temporary directory is removed at the end, and
+directory, and tracks each workload once with that tree's `posefuse track
+--assignments`. Then it times, for each tree, `parse_frame_line` over every
+line of the detection file (called as `benchmark/drive.py` calls it), and
+`load_calibration`, `load_tracks`, `load_truth` and `load_assignments` on
+the calibration, tracks, truth and assignments files. Both trees' packages
+are loaded in this one process, and each round times them in alternating
+order, since a fixed order misleads. Prints, per workload and reader, each
+tree's minimum and median over the rounds of the time per line, in
+microseconds. The temporary directory is removed at the end, and
 no bytecode is written into either tree.
 """
 
@@ -29,7 +30,10 @@ import tempfile
 import time
 
 WORKLOADS = ("grid12", "clutter8")
-READERS = ("parse_frame_line", "load_tracks", "load_truth")
+# each reader, and the file in a workload's directory that it reads
+READERS = {"parse_frame_line": "detections.jsonl",
+           "load_calibration": "calibration.jsonl", "load_tracks": "tracks.jsonl",
+           "load_truth": "truth.jsonl", "load_assignments": "assignments.jsonl"}
 LABELS = ("parent", "change")
 ROUNDS = 15
 
@@ -43,13 +47,14 @@ def run(tree: str, args: list[str]) -> None:
 
 def prepare(tree: str, name: str, seed: int, d: str) -> None:
     """The calibration, detection and truth files of workload `name`, and
-    the tracks that tree writes for them, in d."""
+    the tracks and assignments that tree writes for them, in d."""
     run(tree, [os.path.join(tree, "benchmark", "drive.py"), "prepare",
                "--workload", name, "--seed", str(seed), "--dir", d])
     run(tree, ["-m", "posefuse.cli", "track",
                "--calib", os.path.join(d, "calibration.jsonl"),
                "--input", os.path.join(d, "detections.jsonl"),
-               "--output", os.path.join(d, "tracks.jsonl")])
+               "--output", os.path.join(d, "tracks.jsonl"),
+               "--assignments", os.path.join(d, "assignments.jsonl")])
 
 
 def load_io(tree: str, alias: str):
@@ -70,18 +75,15 @@ def lines_of(path: str) -> list[str]:
 
 def timed(io_cli, reader: str, d: str) -> float:
     """Seconds that one pass of reader over its file in d takes, per line."""
+    path = os.path.join(d, READERS[reader])
+    lines = lines_of(path)
     if reader == "parse_frame_line":
-        path = os.path.join(d, "detections.jsonl")
-        lines = lines_of(path)
         parse = io_cli.parse_frame_line
         gc.collect()
         t0 = time.perf_counter()
         for i, line in enumerate(lines, 1):
             parse(line, path, i)
     else:
-        path = os.path.join(d, ("tracks.jsonl" if reader == "load_tracks"
-                                else "truth.jsonl"))
-        lines = lines_of(path)
         load = getattr(io_cli, reader)
         gc.collect()
         t0 = time.perf_counter()
