@@ -13,8 +13,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import FundamentalTable
-
 # tolerated cross-source clock jitter, seconds
 EPS_CLOCK = 1e-3
 
@@ -136,13 +134,13 @@ def _pairs(n: int) -> tuple[np.ndarray, ...]:
     return pairs
 
 
-def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
-                             fundamentals: FundamentalTable,
-                             cfg: TrackerConfig) -> np.ndarray:
+def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, cam: np.ndarray,
+                             fundamentals: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     """Pairwise epipolar affinities for a detection pool.
 
     xy (N, K, 2) and vis (N, K) are the pool's joints and usable-joint mask
-    from tracker.stack_detections; fundamentals is the rig's table from
+    from tracker.stack_detections, cam (N,) each detection's camera as its
+    position in the rig, and fundamentals the rig's (2 C^2, 3, 3) array from
     geometry.build_fundamental_table. Same-camera pairs get -inf so the
     partition step can never merge them. The matrix is symmetric with a
     zero diagonal. Every other entry is the mean over the shared usable
@@ -154,9 +152,7 @@ def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
     a = np.zeros((n, n))
     if n < 2:
         return a
-    index, stacked = fundamentals.index, fundamentals.stacked
-    C = len(index)
-    cam = np.array([index[cid] for cid in camera_ids])
+    C = math.isqrt(len(fundamentals) // 2)
     i, j, ij, ji = _pairs(n)
     ci, cj = cam[i], cam[j]
     # F maps i's pixels to epipolar lines in j's image; in row-vector form
@@ -171,7 +167,8 @@ def epipolar_affinity_matrix(xy: np.ndarray, vis: np.ndarray, camera_ids,
     with np.errstate(all="ignore"):
         # both directions in one pass: the distances of the j points, then
         # of the i points
-        d = _epipolar_distances(xh[ij], xh[ji], stacked[np.concatenate([pair, pair + C * C])])
+        d = _epipolar_distances(xh[ij], xh[ji],
+                                fundamentals[np.concatenate([pair, pair + C * C])])
         score = np.where(shared, 1.0 - (d[m:] + d[:m]) / (2.0 * cfg.alpha2d_epi), 0.0)
         v = np.add.reduce(score, axis=1) / n_shared
     a[i, j] = np.where((ci == cj) | (n_shared < cfg.min_shared_joints), -np.inf, v)

@@ -82,21 +82,13 @@ def fundamental_from_projections(cam1: CameraView, cam2: CameraView) -> np.ndarr
     return F / np.linalg.norm(F)
 
 
-@dataclass(frozen=True)
-class FundamentalTable:
+def build_fundamental_table(cams: list[CameraView]) -> np.ndarray:
     """Every pairwise fundamental matrix of C cameras in one (2 C^2, 3, 3)
-    array for batched lookups: with a and b the positions in index of two
-    cameras, stacked[a * C + b] is F' and stacked[C^2 + a * C + b] is F, the
-    matrix mapping a's pixels to epipolar lines in b; the rows of a camera
-    with itself are zero."""
-
-    index: dict[str, int]
-    stacked: np.ndarray
-
-
-def build_fundamental_table(cams: list[CameraView]) -> FundamentalTable:
-    """All pairwise fundamental matrices: fundamental_from_projections for
-    each pair in rig order, and its transpose for the reverse pair."""
+    array for batched lookups. With a and b two cameras' positions in cams,
+    entry a * C + b is F' and entry C^2 + a * C + b is F, the matrix mapping
+    a's pixels to epipolar lines in b: fundamental_from_projections for each
+    pair in rig order, and its transpose for the reverse pair. The entries of
+    a camera with itself are zero."""
     C = len(cams)
     F = np.zeros((C, C, 3, 3))
     for i, a in enumerate(cams):
@@ -104,5 +96,4 @@ def build_fundamental_table(cams: list[CameraView]) -> FundamentalTable:
             F[i, j] = fundamental_from_projections(a, cams[j])
             F[j, i] = F[i, j].T
     F = F.reshape(C * C, 3, 3)
-    return FundamentalTable({c.id: i for i, c in enumerate(cams)},
-                            np.concatenate([F.transpose(0, 2, 1), F]))
+    return np.concatenate([F.transpose(0, 2, 1), F])

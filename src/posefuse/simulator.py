@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .affinity import TrackerConfig, _is_finite, _is_int, epipolar_affinity_matrix
-from .geometry import CameraView, FundamentalTable, build_fundamental_table, \
-    project_points
+from .geometry import CameraView, build_fundamental_table, project_points
 from .tracker import Detection, FrameBatch, cluster_pool, stack_detections, triangulate
 
 JOINT_NAMES = ["head", "neck", "lsho", "rsho", "lelb", "relb", "lwri", "rwri",
@@ -248,6 +247,25 @@ def _look_at(center, target):
     return np.stack([right, down, fwd])
 
 
+def _camera_places(spec: ScenarioSpec):
+    """Each camera's center (3,) and look-at target, in camera order: evenly
+    around the ring, or row by row over the ceiling grid."""
+    n = spec.n_cameras
+    if spec.rig == "ring":
+        for i in range(n):
+            th = 2 * np.pi * i / n
+            yield (np.array([spec.rig_radius * np.cos(th), spec.rig_radius * np.sin(th),
+                             spec.rig_height]), (0.0, 0.0, 1.0))
+        return
+    cols = int(np.ceil(np.sqrt(n)))
+    rows = int(np.ceil(n / cols))
+    ax, ay = spec.area
+    for i in range(n):
+        x = (i % cols + 0.5) / cols * ax - ax / 2.0
+        y = (i // cols + 0.5) / rows * ay - ay / 2.0
+        yield np.array([x, y, spec.grid_height]), (x * 0.25, y * 0.25, 1.0)
+
+
 def make_rig(spec: ScenarioSpec) -> list[CameraView]:
     """Pinhole cameras on a ring or a ceiling grid, all looking into the scene."""
     W, H = spec.image_size
@@ -255,31 +273,10 @@ def make_rig(spec: ScenarioSpec) -> list[CameraView]:
                    [0.0, spec.focal, H / 2.0],
                    [0.0, 0.0, 1.0]])
     cams = []
-    if spec.rig == "ring":
-        for i in range(spec.n_cameras):
-            th = 2 * np.pi * i / spec.n_cameras
-            c = np.array([spec.rig_radius * np.cos(th), spec.rig_radius * np.sin(th),
-                          spec.rig_height])
-            R = _look_at(c, (0.0, 0.0, 1.0))
-            P = Km @ np.hstack([R, -R @ c[:, None]])
-            cams.append(CameraView.from_projection(f"cam{i:02d}", P, spec.image_size))
-    else:
-        n = spec.n_cameras
-        cols = int(np.ceil(np.sqrt(n)))
-        rows = int(np.ceil(n / cols))
-        ax, ay = spec.area
-        i = 0
-        for r in range(rows):
-            for c_ in range(cols):
-                if i >= n:
-                    break
-                x = (c_ + 0.5) / cols * ax - ax / 2.0
-                y = (r + 0.5) / rows * ay - ay / 2.0
-                c = np.array([x, y, spec.grid_height])
-                R = _look_at(c, (x * 0.25, y * 0.25, 1.0))
-                P = Km @ np.hstack([R, -R @ c[:, None]])
-                cams.append(CameraView.from_projection(f"cam{i:02d}", P, spec.image_size))
-                i += 1
+    for i, (c, target) in enumerate(_camera_places(spec)):
+        R = _look_at(c, target)
+        P = Km @ np.hstack([R, -R @ c[:, None]])
+        cams.append(CameraView.from_projection(f"cam{i:02d}", P, spec.image_size))
     return cams
 
 
@@ -370,8 +367,7 @@ def plain_pose(P: np.ndarray, xy: np.ndarray, vis: np.ndarray) -> np.ndarray:
 
 
 def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
-                    cfg: TrackerConfig,
-                    ftable: FundamentalTable | None = None):
+                    cfg: TrackerConfig, ftable: np.ndarray | None = None):
     """Per-frame brute-force competitor: cluster_pool over all detections of
     one synchronized frame group, the association the tracker runs only on
     its unmatched pool, and plain_pose for each group. Stateless across
@@ -386,12 +382,12 @@ def baseline_alg_s1(group: list[FrameBatch], cams: list[CameraView],
     dets = [d for f in group for d in f.detections]
     stamp = max(f.timestamp for f in group)
     poses, members = {}, {}
-    ids = [d.camera_id for d in dets]
-    if len(dets) >= cfg.min_views_init and len(set(ids)) > 1:
+    index = {c.id: i for i, c in enumerate(cams)}
+    cam = np.array([index[d.camera_id] for d in dets])
+    if len(dets) >= cfg.min_views_init and cam.min() < cam.max():
         xy, _, vis = stack_detections(dets, cfg.min_joint_confidence)
-        a = epipolar_affinity_matrix(xy, vis, ids, ftable, cfg)
-        P = {c.id: c.P for c in cams}
-        P = np.array([P[cid] for cid in ids])
+        a = epipolar_affinity_matrix(xy, vis, cam, ftable, cfg)
+        P = np.stack([c.P for c in cams])[cam]
         for c in cluster_pool(a, cfg):
             X = plain_pose(P[c], xy[c], vis[c])
             if not np.isnan(X[:, 0]).all():

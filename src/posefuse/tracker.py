@@ -224,11 +224,10 @@ class CrossViewTracker:
             raise ValueError("need at least one camera")
         self.cfg = cfg or TrackerConfig()
         self.weighted = weighted
-        self.cameras = {c.id: c for c in cameras}
-        if len(self.cameras) != len(cameras):
-            raise ValueError("duplicate camera id")
         self._cam_ids = [c.id for c in cameras]
         self._cam_idx = {cid: i for i, cid in enumerate(self._cam_ids)}
+        if len(self._cam_idx) != len(cameras):
+            raise ValueError("duplicate camera id")
         self._P = np.stack([c.P for c in cameras])
         self._centers = np.stack([c.center for c in cameras])
         # Ray direction of pixel (x, y): q[:3] - q[3] * center for
@@ -384,8 +383,10 @@ class CrossViewTracker:
         NaN and inf stand for missing joints and impossible pairs, so callers
         run this under np.errstate(all="ignore"), as step does. A pair is
         impossible (-inf) when no usable joint has a term, as nothing then
-        ties the detection to the target, or when a usable joint's score
-        comes out NaN, from 0 * inf or inf / inf on far-off pixels or rays."""
+        ties the detection to the target, or when the sum over the joints
+        is not finite: a usable joint's score comes out NaN, from 0 * inf or
+        inf / inf on far-off pixels or rays, or the sum overflows, as it can
+        for a large w2d or w3d."""
         cfg = self.cfg
         L = len(self._ids)
         # unit back-projection rays of every detection joint (M, K, 3)
@@ -418,9 +419,8 @@ class CrossViewTracker:
             * np.sqrt(np.einsum("lmki,lmki->lmk", perp, perp))
         has3 = (t3 == t3)[:, None] & dvm
         A += np.where(has3, s3, 0.0)
-        # no term is ever +inf, so only a usable joint's NaN makes a sum NaN
         A = A.sum(axis=2)
-        A[np.isnan(A) | ~(has2 | has3).any(axis=2)] = -np.inf
+        A[~(np.isfinite(A) & (has2 | has3).any(axis=2))] = -np.inf
         return A
 
     def _dlt_block(self, xy: np.ndarray, ci) -> np.ndarray:
@@ -475,9 +475,11 @@ class CrossViewTracker:
                 return
         age = np.where(keep, age, 0.0)
         # squared row weights; a row's weight is exp(-lambda_t * age), times
-        # the observation's confidence when confidence weighting is on
+        # the observation's confidence when confidence weighting is on; the
+        # rate meets the age first, so that a zero age gives weight 1 for
+        # any finite lambda_t rather than -inf * 0
         if self.weighted:
-            w2 = np.exp(-2.0 * cfg.lambda_t * age) * keep
+            w2 = np.exp(-2.0 * (cfg.lambda_t * age)) * keep
             if cfg.confidence_weighting:
                 w2 *= self._obs_conf.reshape(-1, C).take(q, axis=0) ** 2
         else:
@@ -576,14 +578,15 @@ class CrossViewTracker:
         stale = self._pool_a is None
         if stale:
             xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
-            self._pool_a = epipolar_affinity_matrix(
-                xy, vis, [d.camera_id for d in pool], self._ftable, self.cfg)
+            cam = np.array([self._cam_idx[d.camera_id] for d in pool])
+            self._pool_a = epipolar_affinity_matrix(xy, vis, cam, self._ftable, self.cfg)
         groups = cluster_pool(self._pool_a, self.cfg)
         if not groups:
             self._pool_idle = True
             return []
         if not stale:
             xy, conf, vis = stack_detections(pool, self.cfg.min_joint_confidence)
+            cam = np.array([self._cam_idx[d.camera_id] for d in pool])
         L, n = len(self._ids), len(groups)
         while len(self._joint) < L + n:
             for name in self._ROW_ARRAYS:
@@ -602,7 +605,7 @@ class CrossViewTracker:
         # one detection per member, in group order, with its target's row
         members = [i for c in groups for i in c]
         rows = np.repeat(np.arange(L, L + n), [len(c) for c in groups])
-        cams = np.array([self._cam_idx[pool[i].camera_id] for i in members])
+        cams = cam[members]
         times = np.array([pool[i].timestamp for i in members])
         self._observe(rows, xy[members], conf[members], vis[members], cams, times)
         self._last_match[new] = [max(pool[i].timestamp for i in c) for c in groups]

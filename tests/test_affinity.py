@@ -185,13 +185,14 @@ def test_epipolar_affinity_matrix_matches_scalar():
     pairs = oracles.fundamental_pairs(cams)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, size=(2, 4, 3)) + np.array([0.0, 0.0, 1.2])
-    dets, ids = [], []
+    dets, ids, cam = [], [], []
     for p, X in enumerate(pts):
-        for cam in cams[:2] if p == 0 else cams[1:]:
-            dets.append(FakeDet(cam.id, 0.0, [project(cam, x) for x in X]))
-            ids.append(cam.id)
+        for c in [0, 1] if p == 0 else [1, 2]:
+            dets.append(FakeDet(cams[c].id, 0.0, [project(cams[c], x) for x in X]))
+            ids.append(cams[c].id)
+            cam.append(c)
     xy, _, vis = stack_detections(dets, CFG.min_joint_confidence)
-    a = epipolar_affinity_matrix(xy, vis, ids, table, CFG)
+    a = epipolar_affinity_matrix(xy, vis, np.array(cam), table, CFG)
     assert np.array_equal(a, a.T)
     for i in range(len(dets)):
         assert a[i, i] == 0.0
@@ -211,35 +212,39 @@ def random_pool(rng, cams, n, K=6):
     """n detections over the cameras, each camera holding at least one when
     n allows, with joints from a few 3D points plus pixel noise; some joints
     missing, some below the confidence floor, and an occasional pixel at
-    the epipole's scale or beyond."""
-    ids = [cams[c].id for c in rng.permutation(np.arange(n) % len(cams))]
+    the epipole's scale or beyond. Returns the joints, the usable-joint mask
+    and each detection's camera as its position in cams."""
+    cam = rng.permutation(np.arange(n) % len(cams))
     people = rng.uniform(-0.5, 0.5, size=(3, K, 3)) + np.array([0.0, 0.0, 1.2])
-    by_id = {c.id: c for c in cams}
     xy = np.empty((n, K, 2))
-    for d, cid in enumerate(ids):
-        xy[d] = [project(by_id[cid], x) for x in people[rng.integers(3)]]
+    for d, c in enumerate(cam):
+        xy[d] = [project(cams[c], x) for x in people[rng.integers(3)]]
     xy += rng.normal(0.0, 4.0, xy.shape)
     xy[rng.random((n, K)) < 0.1] = np.nan
     xy[rng.random((n, K)) < 0.02] = 1e9
     conf = np.where(rng.random((n, K)) < 0.1, 0.05, 0.9)
-    return xy, (conf >= CFG.min_joint_confidence) & np.isfinite(xy).all(axis=2), ids
+    return xy, (conf >= CFG.min_joint_confidence) & np.isfinite(xy).all(axis=2), cam
 
 
 def test_epipolar_affinity_matrix_equals_the_reference_entry_for_entry():
+    """On a rig listed in camera-id order and on the same rig reversed: the
+    matrix takes each detection's position in the rig, while the reference
+    looks up each pair by camera id."""
     rng = np.random.default_rng(5)
     cams = random_rig(rng, 5)
-    table = build_fundamental_table(cams)
-    pairs = oracles.fundamental_pairs(cams)
-    kinds = np.zeros(3, dtype=int)
-    # each pool size three times, so that the cached pair indices are reused,
-    # and one pool past the cache's size limit
-    for n in list(range(2, 14)) * 3 + [40]:
-        xy, vis, ids = random_pool(rng, cams[:3 + n % 3], n)
-        with np.errstate(all="ignore"):
-            want = oracles.epipolar_affinity_matrix(xy, vis, ids, pairs, CFG)
-        kinds += [np.isneginf(want).sum(), (want > 0).sum(), (want < -100).sum()]
-        assert (epipolar_affinity_matrix(xy, vis, ids, table, CFG) == want).all(), n
-    assert (kinds > 20).all()  # forbidden, likely and far-off pairs
+    for rig in (cams, cams[::-1]):
+        table, pairs = build_fundamental_table(rig), oracles.fundamental_pairs(rig)
+        kinds = np.zeros(3, dtype=int)
+        # each pool size three times, so that the cached pair indices are
+        # reused, and one pool past the cache's size limit
+        for n in list(range(2, 14)) * 3 + [40]:
+            xy, vis, cam = random_pool(rng, rig[:3 + n % 3], n)
+            with np.errstate(all="ignore"):
+                want = oracles.epipolar_affinity_matrix(xy, vis, [rig[c].id for c in cam],
+                                                        pairs, CFG)
+            kinds += [np.isneginf(want).sum(), (want > 0).sum(), (want < -100).sum()]
+            assert (epipolar_affinity_matrix(xy, vis, cam, table, CFG) == want).all(), n
+        assert (kinds > 20).all()  # forbidden, likely and far-off pairs
 
 
 def test_epipolar_affinity_matrix_overflow_is_minus_inf_without_a_warning():
@@ -251,7 +256,7 @@ def test_epipolar_affinity_matrix_overflow_is_minus_inf_without_a_warning():
     vis = np.ones((3, 4), dtype=bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a = epipolar_affinity_matrix(xy, vis, ["a", "b", "c"],
+        a = epipolar_affinity_matrix(xy, vis, np.arange(3),
                                      build_fundamental_table(cams), CFG)
     assert a[0, 1] == a[1, 0] == -np.inf
     assert np.isfinite(a[2, :2]).all()

@@ -182,9 +182,8 @@ def test_fundamental_properties(rng):
 def test_fundamental_table_is_transpose_consistent(rng):
     cams = [random_camera(rng, f"c{i}") for i in range(4)]
     table = build_fundamental_table(cams)
-    assert table.index == {c.id: i for i, c in enumerate(cams)}
-    assert table.stacked.shape == (32, 3, 3)
-    Ft, F = table.stacked.reshape(2, 4, 4, 3, 3)
+    assert table.shape == (32, 3, 3)
+    Ft, F = table.reshape(2, 4, 4, 3, 3)
     pairs = fundamental_pairs(cams)
     for i, a in enumerate(cams):
         for j, b in enumerate(cams):

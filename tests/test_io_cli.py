@@ -1126,6 +1126,44 @@ def test_far_off_joint_never_gives_a_nan_target_affinity(tmp_path, capsys, case)
     assert len(tracks.read_text().splitlines()) == len(lines)
 
 
+@pytest.mark.parametrize("config", ['{"w2d": 1e308}', '{"w3d": 1e308, "alpha3d": 1.0}'])
+def test_huge_affinity_weight_never_gives_a_non_finite_target_affinity(tmp_path, capsys,
+                                                                        config):
+    """A weight near the float range makes a target-detection pair's sum
+    over the joints overflow to inf, or to NaN through inf - inf. Either
+    must make the pair impossible instead of reaching the assignment. With
+    the default alpha3d, w3d / alpha3d overflows first and turns each 3D
+    term into -inf, so the 3D case widens the gate to 1 m."""
+    calib, dets, _ = write_scene_files(tmp_path, n_people=2, n_cameras=4, duration=1.0,
+                                       seed=3, noise_sigma=1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    tracks = tmp_path / "tracks.jsonl"
+    assert main(["track", "--calib", str(calib), "--input", str(dets),
+                 "--output", str(tracks), "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(tracks.read_text().splitlines()) == len(dets.read_text().splitlines())
+
+
+@pytest.mark.parametrize("config", ['{"lambda_t": 1e308}',
+                                    '{"lambda_t": 1e308, "retire_after": 10}'])
+def test_huge_triangulation_decay_keeps_the_newest_view(tmp_path, capsys, config):
+    """With lambda_t near the float range, every view older than the newest
+    one gets weight 0, and the newest one weight 1: its age is 0, and
+    lambda_t * 0 is 0, where -2 * lambda_t alone would overflow first."""
+    calib, dets, _ = write_scene_files(tmp_path, n_people=2, n_cameras=4, duration=1.0,
+                                       seed=3, noise_sigma=1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    tracks = tmp_path / "tracks.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["track", "--calib", str(calib), "--input", str(dets),
+                     "--output", str(tracks), "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(tracks.read_text().splitlines()) == len(dets.read_text().splitlines())
+
+
 def test_bench_emits_csv_rows(tmp_path, capsys):
     assert main(["bench", "--cameras", "2,3", "--people", "1",
                  "--duration", "0.4", "--baseline"]) == 0

@@ -253,3 +253,21 @@ def test_baseline_poses_match_per_joint_oracle():
             assert np.array_equal(pose, want, equal_nan=True)
             checked += 1
     assert checked >= 50
+
+
+def test_baseline_is_the_same_for_a_rig_listed_out_of_id_order():
+    cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=6, duration=1.0,
+                                            seed=41, noise_sigma=2.0, dropout=0.15))
+    cfg = TrackerConfig()
+    rigs = [cams, cams[::-1]]
+    tables = [build_fundamental_table(rig) for rig in rigs]
+    built = 0
+    for group in synchronized_groups(frames)[:20]:
+        want, got = (baseline_alg_s1(group, rig, cfg, table)
+                     for rig, table in zip(rigs, tables))
+        assert got[0] == want[0] and got[1].keys() == want[1].keys()
+        for i, pose in want[1].items():
+            assert np.array_equal(got[1][i], pose, equal_nan=True)
+            assert [id(d) for d in got[2][i]] == [id(d) for d in want[2][i]]
+        built += len(want[1])
+    assert built >= 50

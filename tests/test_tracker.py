@@ -101,6 +101,7 @@ def test_initialization_is_exact_noiseless():
 def test_initialized_targets_match_per_joint_oracle():
     cams, frames, _ = generate(ScenarioSpec(n_people=3, n_cameras=5, duration=2.0,
                                             seed=37, noise_sigma=2.0, dropout=0.15))
+    by_id = {c.id: c for c in cams}
     # a seeded per-detection scale makes the confidences differ across views
     scale = np.random.default_rng(37)
     frames = [FrameBatch(f.camera_id, f.timestamp, [
@@ -123,7 +124,7 @@ def test_initialized_targets_match_per_joint_oracle():
                     continue
                 members = [dets[r.camera_id, r.timestamp, r.index]
                            for r in out.assignments if r.target_id == p.id]
-                want = triangulate_group(members, tr.cameras, cfg.min_joint_confidence,
+                want = triangulate_group(members, by_id, cfg.min_joint_confidence,
                                          cfg.lambda_t if weighted else None,
                                          confidence_weighting, cfg.retire_after)
                 assert np.array_equal(np.isnan(p.joints), np.isnan(want))
@@ -594,6 +595,24 @@ def test_silent_cameras_pool_entries_age_out():
                                       for f in frames for d in f.detections)
 
 
+def test_a_rig_listed_out_of_camera_id_order_tracks_the_same():
+    """The tracker indexes its state and its fundamental matrices by each
+    camera's position in the rig it is given, and orders its pool by camera
+    id. Listing the rig in reverse id order may change only the order in
+    which each solve sums its views."""
+    spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=2,
+                        noise_sigma=1.0)
+    cams, frames, _ = generate(spec)
+    want, got = CrossViewTracker(cams), CrossViewTracker(cams[::-1])
+    for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=2):
+        w, g = want.step(f), got.step(f)
+        assert g.ids == w.ids and g.retired == w.retired
+        assert g.assignments == w.assignments
+        assert np.allclose(g.points, w.points, atol=1e-9, equal_nan=True)
+    assert got.finish() == want.finish()
+    assert want._next_id >= 10
+
+
 def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
     spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=2,
                         noise_sigma=1.0)
@@ -606,8 +625,8 @@ def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
         if not dets:
             return np.zeros((0, 0))
         xy, _, vis = stack_detections(dets, tr.cfg.min_joint_confidence)
-        a = epipolar_affinity_matrix(xy, vis, [d.camera_id for d in dets],
-                                     tr._ftable, tr.cfg)
+        cam = np.array([tr._cam_idx[d.camera_id] for d in dets])
+        a = epipolar_affinity_matrix(xy, vis, cam, tr._ftable, tr.cfg)
         counts["-inf"] += bool(np.isneginf(a).any())
         return a
 
@@ -937,7 +956,7 @@ def test_affinity_matrix_matches_scalar_reference(spec, min_checked):
                 vec = tr._affinity_core(dxy, dvm, tr._cam_idx[f.camera_id],
                                         f.timestamp)
             ref = np.array([[body_affinity(lambda k: joint_state(tr, r, k), d,
-                                           tr.cameras[f.camera_id], tr.cfg)
+                                           cams[tr._cam_idx[f.camera_id]], tr.cfg)
                              for d in f.detections] for r in range(len(tr.targets))])
             assert np.allclose(vec, ref, atol=1e-9)
             checked += 1
@@ -956,6 +975,7 @@ RING2 = ScenarioSpec(n_people=2, n_cameras=5, duration=1.5, seed=13, noise_sigma
     pytest.param(GRID10, True, id="grid10-True")])
 def test_update_matches_weighted_triangulation_reference(spec, confidence_weighting):
     cams, frames, _ = generate(spec)
+    by_id = {c.id: c for c in cams}
     # a seeded per-detection scale makes the confidences differ across views
     scale = np.random.default_rng(13)
     tr = CrossViewTracker(cams, TrackerConfig(confidence_weighting=confidence_weighting))
@@ -982,7 +1002,7 @@ def test_update_matches_weighted_triangulation_reference(spec, confidence_weight
                                       [fresh[c][0] for c in fresh],
                                       [fresh[c][2] for c in fresh],
                                       [fresh[c][1] for c in fresh])
-            ref = triangulate_joint_weighted(obs, tr.cameras, tr.cfg.lambda_t,
+            ref = triangulate_joint_weighted(obs, by_id, tr.cfg.lambda_t,
                                              use_confidence=confidence_weighting)
             assert np.allclose(js.point, ref.point, atol=1e-9)
             checked += 1
@@ -1108,7 +1128,7 @@ def test_unweighted_mode_matches_plain_reference():
                                   [fresh[c][0] for c in fresh],
                                   [fresh[c][2] for c in fresh],
                                   [fresh[c][1] for c in fresh])
-        ref = triangulate_joint(obs, tr.cameras)
+        ref = triangulate_joint(obs, {c.id: c for c in cams})
         assert np.allclose(js.point, ref.point, atol=1e-9)
         checked += 1
     assert checked >= 10

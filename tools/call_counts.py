@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 import tempfile
 
+sys.dont_write_bytecode = True  # before the shared helpers are imported
+from trees import prepare  # noqa: E402
+
 WORKLOADS = ("grid12", "grid32", "clutter8")
-
-
-def prepare(tree: str, name: str, seed: int, directory: str) -> None:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-               PYTHONDONTWRITEBYTECODE="1")
-    subprocess.run([sys.executable, os.path.join(tree, "benchmark", "drive.py"),
-                    "prepare", "--workload", name, "--seed", str(seed),
-                    "--dir", directory], env=env, check=True)
 
 
 def count_calls(step, frames) -> tuple[float, float]:
@@ -57,7 +51,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args(argv)
     tree = os.path.abspath(args.tree)
-    sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(tree, "src"))
     from posefuse import io_cli
     from posefuse.affinity import TrackerConfig

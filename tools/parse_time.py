@@ -24,10 +24,12 @@ import importlib
 import importlib.util
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
+
+sys.dont_write_bytecode = True  # before the shared helpers are imported
+from trees import prepare, track  # noqa: E402
 
 WORKLOADS = ("grid12", "clutter8")
 # each reader, and the file in a workload's directory that it reads
@@ -36,25 +38,6 @@ READERS = {"parse_frame_line": "detections.jsonl",
            "load_truth": "truth.jsonl", "load_assignments": "assignments.jsonl"}
 LABELS = ("parent", "change")
 ROUNDS = 15
-
-
-def run(tree: str, args: list[str]) -> None:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, *args], env=env, check=True)
-
-
-def prepare(tree: str, name: str, seed: int, d: str) -> None:
-    """The calibration, detection and truth files of workload `name`, and
-    the tracks and assignments that tree writes for them, in d."""
-    run(tree, [os.path.join(tree, "benchmark", "drive.py"), "prepare",
-               "--workload", name, "--seed", str(seed), "--dir", d])
-    run(tree, ["-m", "posefuse.cli", "track",
-               "--calib", os.path.join(d, "calibration.jsonl"),
-               "--input", os.path.join(d, "detections.jsonl"),
-               "--output", os.path.join(d, "tracks.jsonl"),
-               "--assignments", os.path.join(d, "assignments.jsonl")])
 
 
 def load_io(tree: str, alias: str):
@@ -98,7 +81,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args(argv)
     trees = [os.path.abspath(t) for t in (args.parent, args.change)]
-    sys.dont_write_bytecode = True
     modules = [load_io(tree, f"posefuse_{label}") for tree, label in zip(trees, LABELS)]
 
     print(f"{'workload':10} {'reader':17} " + " ".join(
@@ -108,6 +90,7 @@ def main(argv: list[str]) -> int:
             dirs = [os.path.join(tmp, f"{name}-{label}") for label in LABELS]
             for tree, d in zip(trees, dirs):
                 prepare(tree, name, args.seed, d)
+                track(tree, d, d)
             times = {(r, k): [] for r in READERS for k in range(2)}
             for i in range(ROUNDS):
                 for k in (0, 1) if i % 2 == 0 else (1, 0):

@@ -22,9 +22,11 @@ import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
+
+sys.dont_write_bytecode = True  # before the shared helpers are imported
+from trees import prepare, track  # noqa: E402
 
 WORKLOADS = ("grid12", "grid32", "clutter8")
 SEEDS = (7, 11, 401)
@@ -32,27 +34,9 @@ INPUTS = ("calibration.jsonl", "detections.jsonl", "truth.jsonl")
 LABELS = ("parent", "change")
 
 
-def run(tree: str, args: list[str]) -> None:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    subprocess.run([sys.executable, *args], env=env, check=True)
-
-
 def digest(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
-
-
-def track(tree: str, inputs: str, out: str) -> tuple[str, str]:
-    """sha256 of the tracks and the assignments tree writes for inputs."""
-    tracks = os.path.join(out, "tracks.jsonl")
-    assignments = os.path.join(out, "assignments.jsonl")
-    run(tree, ["-m", "posefuse.cli", "track",
-               "--calib", os.path.join(inputs, "calibration.jsonl"),
-               "--input", os.path.join(inputs, "detections.jsonl"),
-               "--output", tracks, "--assignments", assignments])
-    return digest(tracks), digest(assignments)
 
 
 def read_rows(path: str) -> list[dict[int, list]]:
@@ -102,7 +86,6 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     parent, change = (os.path.abspath(a) for a in argv)
-    sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(change, "src"))
     same = True
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
@@ -111,13 +94,12 @@ def main(argv: list[str]) -> int:
                 dirs = [os.path.join(tmp, f"{name}-{seed}-{label}") for label in LABELS]
                 inputs, outputs = [], []
                 for tree, d in zip((parent, change), dirs):
-                    run(tree, [os.path.join(tree, "benchmark", "drive.py"), "prepare",
-                               "--workload", name, "--seed", str(seed), "--dir", d])
+                    prepare(tree, name, seed, d)
                     inputs.append([digest(os.path.join(d, f)) for f in INPUTS])
                 for tree, d in zip((parent, change), dirs):
                     out = os.path.join(d, "out")
                     os.mkdir(out)
-                    outputs.append(track(tree, dirs[0], out))
+                    outputs.append(tuple(map(digest, track(tree, dirs[0], out))))
                 ok = inputs[0] == inputs[1] and outputs[0] == outputs[1]
                 same &= ok
                 print(f"{name} seed {seed}: {'same' if ok else 'DIFFERENT'}")
