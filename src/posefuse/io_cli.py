@@ -30,7 +30,7 @@ import orjson
 
 from .affinity import TrackerConfig
 from .geometry import CameraView
-from .tracker import AssignmentRecord, Detection, FrameBatch, StepResult
+from .tracker import AssignmentRecord, FrameBatch, StepResult
 from .simulator import N_JOINTS, GroundTruth, ScenarioSpec
 
 
@@ -87,13 +87,18 @@ def _loads(line: str) -> dict:
     return _object(obj)
 
 
-def _decode(line: str, convert, *args):
-    """convert(obj, *args) for the JSON object on line, decoded by orjson,
-    or by json where orjson rejects the line or convert raises ParseError."""
+def _decode(line: str, convert, arg):
+    """convert(obj, arg) for the JSON object on line, decoded by orjson, or
+    by json where orjson rejects the line or convert raises ParseError."""
     try:
-        return convert(_object(orjson.loads(line)), *args)
+        return convert(_object(orjson.loads(line)), arg)
     except (orjson.JSONDecodeError, ParseError):
-        return convert(_loads(line), *args)
+        return convert(_loads(line), arg)
+
+
+def _call(obj: dict, convert):
+    """convert(obj), for a one-argument convert passed through _decode."""
+    return convert(obj)
 
 
 def _field(obj: dict, key: str):
@@ -157,12 +162,18 @@ def _rows(entries: list, missing: tuple | None) -> tuple[np.ndarray, int, int]:
         else:
             break
     n = len(flat) // 3
-    # np.array would read None as NaN, and a list as one more dimension
-    if set(map(type, flat)) <= _VALUE_TYPES:
-        try:
-            return np.array(flat, dtype=float).reshape(n, 3), n, nulls
-        except (ValueError, OverflowError):
-            pass  # a string float() rejects, or an integer past the float range
+    try:
+        a = np.array(flat, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass  # a value float() rejects, or a list among the values
+    else:
+        # np.array reads lists as one more dimension, and None as NaN: a
+        # None is ruled out when the NaNs are the nulls' rows' alone, and
+        # otherwise by a scan of the types, as a value may be NaN itself
+        nans = nulls and nulls * sum(v != v for v in missing)
+        if a.ndim == 1 and (np.count_nonzero(np.isnan(a)) == nans
+                            or set(map(type, flat)) <= _VALUE_TYPES):
+            return a.reshape(n, 3), n, nulls
     n = _convertible(flat)
     return np.array(flat[:3 * n], dtype=float).reshape(n, 3), n, nulls
 
@@ -210,7 +221,7 @@ def _records(path: str, convert):
         for lineno, line in enumerate(f, 1):
             if line.strip():
                 try:
-                    record = _decode(line, convert)
+                    record = _decode(line, _call, convert)
                 except ParseError as e:
                     raise _at(path, lineno, e) from None
                 yield record
@@ -274,9 +285,10 @@ def parse_frame_line(line: str, path: str, lineno: int,
     stream), else the first detection's.
 
     The joints of all detections become one (M, K, 3) array of
-    [x, y, confidence] rows in one _rows call; each Detection holds views
-    of its rows. A joint that is null or has a non-finite x or y is a NaN
-    row with confidence 0, and a non-finite confidence is a ParseError."""
+    [x, y, confidence] rows in one _rows call, and the frame holds a copy of
+    its x, y columns and a view of its confidences. A joint that is null or
+    has a non-finite x or y is a NaN row with confidence 0, and a non-finite
+    confidence is a ParseError."""
     try:
         return _decode(line, _frame, n_joints)
     except ParseError as e:
@@ -324,9 +336,9 @@ def _frame(obj: dict, n_joints: int | None) -> FrameBatch:
             raise ParseError(f"detection {i}: 'joints' must be a non-empty list")
         raise ParseError(f"detection {i}: field 'joints' has {len(rd['joints'])} "
                          f"entries, expected {n_joints}")
-    return FrameBatch(cid, t, [Detection(cid, t, r[:, :2], r[:, 2], index=i)
-                               for i, r in enumerate(rows.reshape(len(raw_dets),
-                                                                  n_joints, 3))])
+    rows = rows.reshape(len(raw_dets), n_joints, 3)
+    return FrameBatch.of_arrays(cid, t, np.ascontiguousarray(rows[:, :, :2]),
+                                rows[:, :, 2], np.arange(len(raw_dets)))
 
 
 def iter_detections(f, path: str):
@@ -336,8 +348,9 @@ def iter_detections(f, path: str):
     for lineno, line in enumerate(f, 1):
         if line.strip():
             frame = parse_frame_line(line, path, lineno, n_joints)
-            if n_joints is None and frame.detections:
-                n_joints = frame.detections[0].joints.shape[0]
+            xy = frame.arrays()[0]
+            if n_joints is None and len(xy):
+                n_joints = xy.shape[1]
             yield frame
 
 
@@ -417,38 +430,63 @@ def track_record(step: StepResult) -> dict:
 
 def _track_row(obj: dict) -> TrackRow:
     t = _parse_ts(_field(obj, "timestamp"))
-    targets, times = {}, {}
+    targets = {}
+    raw_times: list[list] = []
     raw_targets = _field(obj, "targets")
     if not isinstance(raw_targets, list):
         raise ParseError("field 'targets' must be a list")
-    for tg in raw_targets:
-        if not isinstance(tg, dict):
-            raise ParseError("each target must be an object")
-        tid = tg.get("id")
-        if type(tid) is not int:
-            raise ParseError("target id must be an integer")
-        if tid in targets:
-            raise ParseError(f"duplicate target id {tid}")
-        joints = tg.get("joints")
-        if not isinstance(joints, list):
-            raise ParseError(f"target {tid}: bad 'joints'")
-        _check_joint_count(len(joints), f"target {tid}")
-        xyz, n, _ = _rows(joints, (math.nan, math.nan, math.nan))
-        if n < len(joints):
-            raise _entry_error(joints[n], f"target {tid} joint {n}", "[X, Y, Z]")
-        jt = np.full(len(joints), np.nan)
-        raw_times = tg.get("joint_times")
-        if raw_times is None:
-            raw_times = []
-        if not isinstance(raw_times, list) or len(raw_times) > len(joints):
-            raise ParseError(f"target {tid}: 'joint_times' must be a list with at "
-                             "most one entry per joint")
-        for j, entry in enumerate(raw_times):
+    try:
+        for tg in raw_targets:
+            if not isinstance(tg, dict):
+                raise ParseError("each target must be an object")
+            tid = tg.get("id")
+            if type(tid) is not int:
+                raise ParseError("target id must be an integer")
+            if tid in targets:
+                raise ParseError(f"duplicate target id {tid}")
+            joints = tg.get("joints")
+            if not isinstance(joints, list):
+                raise ParseError(f"target {tid}: bad 'joints'")
+            _check_joint_count(len(joints), f"target {tid}")
+            xyz, n, _ = _rows(joints, (math.nan, math.nan, math.nan))
+            if n < len(joints):
+                raise _entry_error(joints[n], f"target {tid} joint {n}", "[X, Y, Z]")
+            jt = tg.get("joint_times")
+            if jt is None:
+                jt = []
+            if not isinstance(jt, list) or len(jt) > len(joints):
+                raise ParseError(f"target {tid}: 'joint_times' must be a list with at "
+                                 "most one entry per joint")
+            targets[tid] = xyz
+            raw_times.append(jt)
+    except ParseError:
+        _joint_times(raw_times)  # a bad time of an earlier target is the row's error
+        raise
+    return TrackRow(t, targets, dict(zip(targets, _joint_times(raw_times))))
+
+
+def _joint_times(raw: list[list]) -> np.ndarray:
+    """The (T, N_JOINTS) times of T targets' joint_times lists, each entry a
+    timestamp as _parse_ts reads it or null: NaN for a null and past a
+    list's end. One np.array call converts every entry as float() does, None
+    to NaN; _parse_ts runs on each entry, in order, only when that call
+    fails or when a bool, a list or a non-finite time is among the values."""
+    flat: list = []
+    for jt in raw:
+        flat += jt
+        if len(jt) < N_JOINTS:
+            flat += [None] * (N_JOINTS - len(jt))
+    try:
+        a = np.array(flat, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1 or bool in set(map(type, flat)) \
+            or np.count_nonzero(np.isfinite(a)) != a.size - flat.count(None):
+        a = np.full(len(flat), np.nan)
+        for j, entry in enumerate(flat):
             if entry is not None:
-                jt[j] = _parse_ts(entry, "joint_times")
-        targets[tid] = xyz
-        times[tid] = jt
-    return TrackRow(t, targets, times)
+                a[j] = _parse_ts(entry, "joint_times")
+    return a.reshape(len(raw), N_JOINTS)
 
 
 def load_tracks(path: str) -> list[TrackRow]:

@@ -132,22 +132,80 @@ class Detection:
         self.confidences = np.asarray(self.confidences, dtype=float).reshape(-1)
 
 
-@dataclass
 class FrameBatch:
-    camera_id: str
-    timestamp: float
-    detections: list[Detection]
+    """One camera frame: the M detections that camera camera_id saw at
+    timestamp, held as arrays: joints xy (M, K, 2) in pixels, with NaN rows
+    for missing joints, confidences conf (M, K), and index (M,), each
+    detection's position within its frame, which together with (camera_id,
+    timestamp) names it in assignment records.
+
+    FrameBatch(camera_id, timestamp, [Detection, ...]) builds a frame from a
+    list, which detections then returns; the arrays are stacked from it on
+    their first read, so change the list only before that. The stacking
+    raises ValueError unless every detection carries the frame's camera and
+    time, and K joints and K confidences for one K. FrameBatch.of_arrays
+    builds a frame from the arrays, as the parser does; its detections are
+    views of their rows, built on each read.
+    """
+
+    __slots__ = ("camera_id", "timestamp", "_detections", "_arrays")
+
+    def __init__(self, camera_id: str, timestamp: float, detections: list[Detection]):
+        self.camera_id = camera_id
+        self.timestamp = timestamp
+        self._detections = detections
+        self._arrays = None
+
+    @classmethod
+    def of_arrays(cls, camera_id: str, timestamp: float, xy: np.ndarray,
+                  conf: np.ndarray, index: np.ndarray) -> FrameBatch:
+        frame = cls(camera_id, timestamp, None)
+        frame._arrays = xy, conf, index
+        return frame
+
+    @property
+    def detections(self) -> list[Detection]:
+        if self._detections is not None:
+            return self._detections
+        xy, conf, index = self._arrays
+        return [Detection(self.camera_id, self.timestamp, a, c, i)
+                for a, c, i in zip(xy, conf, index.tolist())]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """xy, conf and index; for a frame of no detection, (0, 0, 2) and
+        (0, 0) arrays and an empty index."""
+        if self._arrays is None:
+            cid, t, dets = self.camera_id, self.timestamp, self._detections
+            for d in dets:
+                if d.camera_id != cid or d.timestamp != t:
+                    raise ValueError(f"a detection in camera {cid!r}'s frame at {t} "
+                                     f"carries camera {d.camera_id!r} and time {d.timestamp}")
+            xy, conf = _stack(dets) if dets else (np.zeros((0, 0, 2)), np.zeros((0, 0)))
+            self._arrays = xy, conf, np.array([d.index for d in dets], dtype=np.intp)
+        return self._arrays
 
 
-def stack_detections(dets: list[Detection], min_confidence: float):
-    """Joints (M, K, 2), confidences (M, K) and the mask of usable joints:
-    finite, with confidence at least min_confidence. Raises ValueError
+def _stack(dets: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
+    """Joints (M, K, 2) and confidences (M, K) of dets. Raises ValueError
     unless every detection has K joints and K confidences."""
     xy = np.array([d.joints for d in dets])
     conf = np.array([d.confidences for d in dets])
     if conf.shape != xy.shape[:2]:
         raise ValueError("a detection's confidences do not match its joints")
-    return xy, conf, (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
+    return xy, conf
+
+
+def _usable(xy: np.ndarray, conf: np.ndarray, min_confidence: float) -> np.ndarray:
+    """The mask (M, K) of usable joints: finite, with confidence at least
+    min_confidence."""
+    return (conf >= min_confidence) & np.isfinite(xy).all(axis=2)
+
+
+def stack_detections(dets: list[Detection], min_confidence: float):
+    """Joints (M, K, 2), confidences (M, K) and the mask of usable joints of
+    dets, as _stack and _usable give them."""
+    xy, conf = _stack(dets)
+    return xy, conf, _usable(xy, conf, min_confidence)
 
 
 def cluster_pool(a: np.ndarray, cfg: TrackerConfig) -> list[list[int]]:
@@ -279,6 +337,21 @@ class CrossViewTracker:
         # the cameras whose detections built the target, while no frame has
         # matched it since
         self._built_by = np.zeros((n, C), dtype=bool)
+        self._flatten()
+
+    def _flatten(self):
+        """Views of the per-joint state arrays with one row per (target row,
+        joint) pair, in the order of the flat indices row * K + joint that
+        _observe and _solve use; taken again whenever the arrays are
+        replaced."""
+        C, W = len(self._cam_ids), self.cfg.velocity_window
+        self._q_joint = self._joint.reshape(-1, 7)
+        self._q_obs_xy = self._obs_xy.reshape(-1, C, 2)
+        self._q_obs_dlt = self._obs_dlt.reshape(-1, C, 16)
+        self._q_obs_t = self._obs_t.reshape(-1, C)
+        self._q_obs_conf = self._obs_conf.reshape(-1, C)
+        self._q_hist = self._hist.reshape(-1, W, 4)
+        self._q_hist_n = self._hist_n.reshape(-1)
 
     # ------------------------------------------------------------- pipeline
 
@@ -294,28 +367,26 @@ class CrossViewTracker:
         if last is not None and t < last - EPS_CLOCK:
             raise ChronologyViolation(
                 f"camera {cid!r} went back in time: {t} after {last}")
-        dets = frame.detections
-        if dets:
-            # checked and stacked before any state changes, so that a frame
-            # that raises leaves the tracker as it was
-            for d in dets:
-                if d.camera_id != cid or d.timestamp != t:
-                    raise ValueError(f"a detection in camera {cid!r}'s frame at {t} "
-                                     f"carries camera {d.camera_id!r} and time {d.timestamp}")
-            dxy, dconf, dvm = stack_detections(dets, self.cfg.min_joint_confidence)
+        # checked and stacked before any state changes, so that a frame that
+        # raises leaves the tracker as it was
+        dxy, dconf, dindex = frame.arrays()
+        M = len(dindex)
+        if M:
             k = dxy.shape[1]
             if self.K is None:
                 self.K = k
                 self._alloc(k)
             elif k != self.K:
                 raise ValueError(f"joint count changed from {self.K} to {k}")
+            dvm = _usable(dxy, dconf, self.cfg.min_joint_confidence)
+            dindex = dindex.tolist()
         self._last_t[cid] = t if last is None else max(last, t)
 
         records = self._release_pool(cid, t) if self._pool else []
 
         accepted: list[tuple[int, int]] = []
         n_old = len(self._ids)
-        if dets and n_old:
+        if M and n_old:
             with np.errstate(all="ignore"):
                 A = self._affinity_core(dxy, dvm, ci, t)
                 # pairs below the threshold, NaN among them, are forbidden
@@ -329,14 +400,13 @@ class CrossViewTracker:
                     rows, msel = np.array(accepted, dtype=np.intp).T
                     self._last_match[rows] = np.maximum(self._last_match[rows], t)
                     self._built_by[rows] = False
-                    self._solve(*self._observe(rows, dxy[msel], dconf[msel],
-                                               dvm[msel], ci, t))
-            for r, c in accepted:
-                records.append(AssignmentRecord(cid, dets[c].timestamp,
-                                                dets[c].index, self._ids[r]))
-        if len(accepted) < len(dets):
+                    self._solve(self._observe(rows, msel, dxy, dconf, dvm, ci, t))
+            ids = self._ids
+            records += [AssignmentRecord(cid, t, dindex[c], ids[r]) for r, c in accepted]
+        if len(accepted) < M:
             taken = {c for _, c in accepted}
-            self._add_to_pool(cid, [d for c, d in enumerate(dets) if c not in taken])
+            self._add_to_pool(cid, [Detection(cid, t, dxy[c], dconf[c], dindex[c])
+                                    for c in range(M) if c not in taken])
 
         records.extend(self._initialize_targets())
         retired = self._retire(t, ci, n_old)
@@ -434,44 +504,47 @@ class CrossViewTracker:
             r /= np.sqrt(np.einsum("nij,nij->ni", r, r))[:, :, None]
         return (np.ascontiguousarray(r.transpose(0, 2, 1)) @ r).reshape(-1, 16)
 
-    def _observe(self, rows: np.ndarray, xy: np.ndarray, conf: np.ndarray,
-                 vis: np.ndarray, ci, t) -> tuple[np.ndarray, np.ndarray]:
-        """Store the usable joints vis (n, K) of detections xy (n, K, 2),
-        with confidences conf (n, K), as the newest observations of their
-        target rows (n,) by camera ci at time t: one value each for a match,
-        (n,) arrays of one per detection for a build. No two detections of a
-        row come from one camera. Returns the (row, joint) pairs written."""
-        m, kq = vis.nonzero()
+    def _observe(self, rows: np.ndarray, dets: np.ndarray, xy: np.ndarray,
+                 conf: np.ndarray, vis: np.ndarray, ci, t) -> np.ndarray:
+        """Store the usable joints vis (M, K) of detections dets (n,) among
+        xy (M, K, 2), with confidences conf (M, K), as the newest
+        observations of their target rows (n,) by camera ci at time t: one
+        value each for a match, (n,) arrays of one per detection for a build.
+        No two detections of a row come from one camera. Returns the joints
+        written, as flat indices row * K + joint."""
+        m, kq = vis[dets].nonzero()
         if isinstance(ci, np.ndarray):
             ci, t = ci[m], t[m]
-        sq, pts = rows[m], xy[m, kq]
-        self._obs_xy[sq, kq, ci] = pts
-        self._obs_dlt[sq, kq, ci] = self._dlt_block(pts, ci)
-        self._obs_t[sq, kq, ci] = t
-        self._obs_conf[sq, kq, ci] = conf[m, kq]
-        return sq, kq
+        d = dets[m]
+        q = rows[m] * self.K + kq
+        pts = xy[d, kq]
+        self._q_obs_xy[q, ci] = pts
+        self._q_obs_dlt[q, ci] = self._dlt_block(pts, ci)
+        self._q_obs_t[q, ci] = t
+        self._q_obs_conf[q, ci] = conf[d, kq]
+        return q
 
-    def _solve(self, sq: np.ndarray, kq: np.ndarray):
-        """Triangulate joints kq of target rows sq from the newest point of
-        each camera that saw them, minus those past the staleness horizon of
-        the newest one, and store each answer at that one's time in the joint,
-        the history ring and the velocity. A joint left with fewer than two
-        views, or whose answer is at infinity, keeps its state. Never-seen
-        cameras have time -inf, so infinite age."""
+    def _solve(self, q: np.ndarray):
+        """Triangulate the joints q, flat indices row * K + joint, from the
+        newest point of each camera that saw them, minus those past the
+        staleness horizon of the newest one, and store each answer at that
+        one's time in the joint and the history ring; then refit the joint's
+        velocity by least squares over its newest min(n, W) solutions, n
+        being how many it has had. A joint left with fewer than two views,
+        or whose answer is at infinity, keeps its state. Never-seen cameras
+        have time -inf, so infinite age."""
         cfg = self.cfg
-        C = len(self._cam_ids)
-        q = sq * self.K + kq  # the (row, joint) pairs as flat indices
-        ot = self._obs_t.reshape(-1, C).take(q, axis=0)  # (Q, C)
+        W = self._ring.size
+        ot = self._q_obs_t.take(q, axis=0)  # (Q, C)
         t_ref = ot.max(axis=1)
         age = t_ref[:, None] - ot
         keep = age <= cfg.retire_after
         nkeep = keep.sum(axis=1)
         if nkeep.min() < 2:
             solve = nkeep >= 2
-            q, sq, kq, t_ref, age, keep, nkeep = (
-                q[solve], sq[solve], kq[solve], t_ref[solve], age[solve],
-                keep[solve], nkeep[solve])
-            if sq.size == 0:
+            q, t_ref, age, keep, nkeep = (
+                q[solve], t_ref[solve], age[solve], keep[solve], nkeep[solve])
+            if q.size == 0:
                 return
         age = np.where(keep, age, 0.0)
         # squared row weights; a row's weight is exp(-lambda_t * age), times
@@ -481,40 +554,34 @@ class CrossViewTracker:
         if self.weighted:
             w2 = np.exp(-2.0 * (cfg.lambda_t * age)) * keep
             if cfg.confidence_weighting:
-                w2 *= self._obs_conf.reshape(-1, C).take(q, axis=0) ** 2
+                w2 *= self._q_obs_conf.take(q, axis=0) ** 2
         else:
             w2 = keep.astype(float)
         # the weighted normal matrix sum_c w_c^2 (r1 r1' + r2 r2')_c
-        dlt = self._obs_dlt.reshape(-1, C, 16).take(q, axis=0)
+        dlt = self._q_obs_dlt.take(q, axis=0)
         AtA = (w2[:, None] @ dlt).reshape(-1, 4, 4)
-        X = triangulate(AtA, self._joint.reshape(-1, 7).take(q, axis=0)[:, :3])
+        joint = self._q_joint
+        X = triangulate(AtA, joint.take(q, axis=0)[:, :3])
         ok = X[:, 0] == X[:, 0]
         if not ok.all():
-            q, sq, kq, t_ref, age, nkeep, X = (
-                q[ok], sq[ok], kq[ok], t_ref[ok], age[ok], nkeep[ok], X[ok])
-            if sq.size == 0:
+            q, t_ref, age, nkeep, X = q[ok], t_ref[ok], age[ok], nkeep[ok], X[ok]
+            if q.size == 0:
                 return
         # the solution and its time, as stored in both _joint and _hist
         x = np.concatenate([X, t_ref[:, None]], axis=1)
         self._dt_sum += float((age / nkeep[:, None]).sum())
-        self._dt_count += sq.size
+        self._dt_count += q.size
 
-        self._joint[sq, kq, :4] = x
-        n = self._hist_n.reshape(-1).take(q)
-        W = self._ring.size
-        self._hist[sq, kq, n % W] = x
+        joint[q, :4] = x
+        hist_n = self._q_hist_n
+        n = hist_n.take(q)
+        ring = self._q_hist
+        ring[q, n % W] = x
         n += 1
-        self._hist_n[sq, kq] = n
-        if n.max() > 1:  # a first solution leaves the velocity zero, as set up
-            self._refresh_velocity(sq, kq, q, n)
-
-    def _refresh_velocity(self, sq: np.ndarray, kq: np.ndarray, q: np.ndarray,
-                          n: np.ndarray):
-        """Least-squares velocity over each joint's newest min(n, W) samples,
-        n being how many solutions it has had; q holds the flat indices
-        sq * K + kq."""
-        W = self._ring.size
-        hist = self._hist.reshape(-1, W, 4).take(q, axis=0)  # (Q, W, 4)
+        hist_n[q] = n
+        if n.max() < 2:  # a first solution leaves the velocity zero, as set up
+            return
+        hist = ring.take(q, axis=0)  # (Q, W, 4)
         ts = hist[..., 3]
         if n.min() < W:  # ring entries past a young joint's n hold no sample
             n = np.minimum(n, W)[:, None]
@@ -529,7 +596,7 @@ class CrossViewTracker:
         valid = d.max(axis=1) - d.min(axis=1) >= 1e-3
         v = (d[:, None] @ hist[..., :3])[:, 0]
         v /= np.where(valid, np.einsum("qw,qw->q", d, d), np.inf)[:, None]
-        self._joint[sq, kq, 4:] = v
+        joint[q, 4:] = v
 
     def _release_pool(self, cid: str, now: float) -> list[AssignmentRecord]:
         """Cut from the pool the previous entries of stepping camera cid and
@@ -592,6 +659,7 @@ class CrossViewTracker:
             for name in self._ROW_ARRAYS:
                 a = getattr(self, name)
                 setattr(self, name, np.concatenate([a, np.zeros_like(a)]))
+            self._flatten()
         # the new rows may hold retired targets' state; the history ring and
         # DLT blocks need no reset, as _hist_n and _obs_t mask them
         new = slice(L, L + n)
@@ -604,14 +672,14 @@ class CrossViewTracker:
         self._built_by[new] = False
         # one detection per member, in group order, with its target's row
         members = [i for c in groups for i in c]
+        sel = np.array(members)
         rows = np.repeat(np.arange(L, L + n), [len(c) for c in groups])
-        cams = cam[members]
+        cams = cam[sel]
         times = np.array([pool[i].timestamp for i in members])
-        self._observe(rows, xy[members], conf[members], vis[members], cams, times)
+        self._observe(rows, sel, xy, conf, vis, cams, times)
         self._last_match[new] = [max(pool[i].timestamp for i in c) for c in groups]
         self._built_by[rows, cams] = True
-        sq, kq = (self._obs_t[new] > -np.inf).any(axis=2).nonzero()
-        self._solve(sq + L, kq)
+        self._solve(np.flatnonzero((self._obs_t[new] > -np.inf).any(axis=2)) + L * self.K)
         built = ~np.isnan(self._joint[L:L + n, :, 3]).all(axis=1)
         if not built.all():
             self._keep_rows(np.concatenate([np.arange(L), L + built.nonzero()[0]]))

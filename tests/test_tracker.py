@@ -14,6 +14,7 @@ from posefuse import tracker as tracker_mod
 from posefuse.affinity import ChronologyViolation, TrackerConfig, epipolar_affinity_matrix
 from posefuse.assignment import partition_cycle_consistent
 from posefuse.evaluation import mot_metrics, pcp, project_step_roots
+from posefuse.io_cli import fmt_ts, iter_detections, write_detections
 from posefuse.simulator import ScenarioSpec, generate
 from posefuse.tracker import AssignmentRecord, CrossViewTracker, Detection, FrameBatch, \
     UnknownCamera, cluster_pool, null_directions, stack_detections
@@ -613,6 +614,60 @@ def test_a_rig_listed_out_of_camera_id_order_tracks_the_same():
     assert want._next_id >= 10
 
 
+def ghost_scene():
+    """A 6-camera grid with shifted ghosts, whose frames carry their times as
+    the detection files write them, so that they survive a round trip."""
+    spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=2,
+                        noise_sigma=1.0)
+    cams, frames, _ = generate(spec)
+    frames = [FrameBatch(f.camera_id, float(fmt_ts(f.timestamp)), [
+        Detection(d.camera_id, float(fmt_ts(d.timestamp)), d.joints, d.confidences,
+                  d.index) for d in f.detections])
+        for f in add_shifted_ghosts(frames, spec.image_size, 0.5, seed=2)]
+    return cams, frames
+
+
+def test_list_built_and_parsed_frames_track_alike(tmp_path):
+    cams, listed = ghost_scene()
+    path = str(tmp_path / "detections.jsonl")
+    write_detections(listed, path)
+    with open(path, encoding="utf-8") as f:
+        parsed = list(iter_detections(f, path))
+    want, got = CrossViewTracker(cams), CrossViewTracker(cams)
+    for a, b in zip(listed, parsed, strict=True):
+        w, g = want.step(a), got.step(b)
+        assert g.ids == w.ids and g.retired == w.retired
+        assert g.assignments == w.assignments
+        assert g.points.tobytes() == w.points.tobytes()
+    assert got.finish() == want.finish()
+    assert want._next_id >= 10
+
+
+def test_records_carry_a_list_built_frames_own_indices():
+    cams, frames = ghost_scene()
+
+    def label(i):
+        return 1000 - 7 * i
+
+    relabelled = [FrameBatch(f.camera_id, f.timestamp, [
+        Detection(d.camera_id, d.timestamp, d.joints, d.confidences, label(d.index))
+        for d in f.detections]) for f in frames]
+    want, got = CrossViewTracker(cams), CrossViewTracker(cams)
+    kinds = Counter()
+    for a, b in zip(frames, relabelled):
+        w, g = want.step(a), got.step(b)
+        assert g.assignments == [AssignmentRecord(r.camera_id, r.timestamp, label(r.index),
+                                                  r.target_id) for r in w.assignments]
+        assert [d.index for ds in got.pool.values() for d in ds] == \
+            [label(d.index) for ds in want.pool.values() for d in ds]
+        kinds.update(r.target_id is None for r in w.assignments)
+    tail = want.finish()
+    assert tail and got.finish() == [AssignmentRecord(r.camera_id, r.timestamp,
+                                                      label(r.index), None) for r in tail]
+    # records of matched or built targets, and of released pool entries
+    assert kinds[False] > 100 and kinds[True] > 100
+
+
 def test_pool_matrix_equals_a_fresh_epipolar_matrix_at_every_step(monkeypatch):
     spec = ScenarioSpec(n_people=3, n_cameras=6, rig="grid", duration=2.0, seed=2,
                         noise_sigma=1.0)
@@ -844,15 +899,15 @@ def test_a_group_left_unsolved_builds_no_target_and_uses_no_id(monkeypatch):
     solve = CrossViewTracker._solve
     dropped = []
 
-    def unsolved_first_group(self, sq, kq):
+    def unsolved_first_group(self, q):
         # a solve of new rows only is a frame's new targets; leave the first
         # of two or more groups with no solved joint
+        sq = q // self.K  # the joints' rows
         if self is tr and not dropped and (sq >= len(self._ids)).all() \
                 and np.unique(sq).size >= 2:
             dropped.append(sq.min())
-            keep = sq != sq.min()
-            sq, kq = sq[keep], kq[keep]
-        solve(self, sq, kq)
+            q = q[sq != sq.min()]
+        solve(self, q)
 
     monkeypatch.setattr(CrossViewTracker, "_solve", unsolved_first_group)
     for f in frames:

@@ -1,15 +1,16 @@
-"""Count the C and Python calls a source tree's tracker makes per step.
+"""Count the C and Python calls a source tree makes per camera frame.
 
     python3 tools/call_counts.py TREE [--seed N]
 
 For grid12, grid32 and clutter8 at seed N (11 by default), prepares the
 input files with TREE's `benchmark/drive.py prepare` in a temporary
-directory, parses every detection line with TREE's package, and then runs
-one `CrossViewTracker.step` per line under `sys.setprofile`. Prints, per
-workload, the C-function calls and the Python-function calls per step; the
-call to `step` itself is not counted. Parsing and serializing are outside
-the count. The temporary directory is removed at the end, and no bytecode is
-written into the tree.
+directory, then runs each detection line through TREE's package as
+`benchmark/drive.py` does, under one `sys.setprofile`: `parse_frame_line`,
+`CrossViewTracker.step` on its frame, and `track_record` on the step's
+result. Prints, per workload, the C-function calls and the Python-function
+calls per frame made inside each of the three, and their sum; the calls to
+the three themselves are not counted. The temporary directory is removed at
+the end, and no bytecode is written into the tree.
 """
 
 from __future__ import annotations
@@ -23,26 +24,35 @@ sys.dont_write_bytecode = True  # before the shared helpers are imported
 from trees import prepare  # noqa: E402
 
 WORKLOADS = ("grid12", "grid32", "clutter8")
+STAGES = ("parse", "step", "track_record")
 
 
-def count_calls(step, frames) -> tuple[float, float]:
-    """C and Python calls per step(frame), over frames."""
-    c_calls = py_calls = 0
+def count_calls(parse, step, record, path: str, lines: list[str]):
+    """C and Python calls per frame, one pair per stage, over lines."""
+    c_calls = [0] * len(STAGES)
+    py_calls = [0] * len(STAGES)
+    stage = 0
 
     def profile(frame, event, arg):
-        nonlocal c_calls, py_calls
         if event == "c_call":
-            c_calls += 1
+            c_calls[stage] += 1
         elif event == "call":
-            py_calls += 1
+            py_calls[stage] += 1
 
     sys.setprofile(profile)
-    for f in frames:
-        step(f)
+    for i, line in enumerate(lines, 1):
+        stage = 0
+        frame = parse(line, path, i)
+        stage = 1
+        out = step(frame)
+        stage = 2
+        record(out)
     sys.setprofile(None)
-    n = len(frames)
-    # the loop's own calls: one to step per frame, and the setprofile(None)
-    return (c_calls - 1) / n, (py_calls - n) / n
+    n = len(lines)
+    # the loop's own calls: one to each stage per frame, and the
+    # setprofile(None) after the last record
+    c_calls[2] -= 1
+    return [(c / n, (p - n) / n) for c, p in zip(c_calls, py_calls)]
 
 
 def main(argv: list[str]) -> int:
@@ -56,7 +66,7 @@ def main(argv: list[str]) -> int:
     from posefuse.affinity import TrackerConfig
     from posefuse.tracker import CrossViewTracker
 
-    print(f"{'workload':10} {'C calls/step':>13} {'Python calls/step':>18}")
+    print(f"{'workload':10} " + " ".join(f"{s + ' C / Py':>22}" for s in (*STAGES, "sum")))
     with tempfile.TemporaryDirectory(prefix="call_counts_") as tmp:
         for name in WORKLOADS:
             d = os.path.join(tmp, name)
@@ -64,11 +74,12 @@ def main(argv: list[str]) -> int:
             cams = io_cli.load_calibration(os.path.join(d, "calibration.jsonl"))
             path = os.path.join(d, "detections.jsonl")
             with open(path, encoding="utf-8") as f:
-                frames = [io_cli.parse_frame_line(line, path, i)
-                          for i, line in enumerate(f, 1) if line.strip()]
+                lines = [line for line in f if line.strip()]
             tracker = CrossViewTracker(cams, TrackerConfig())
-            c, py = count_calls(tracker.step, frames)
-            print(f"{name:10} {c:13.1f} {py:18.1f}")
+            counts = count_calls(io_cli.parse_frame_line, tracker.step,
+                                 io_cli.track_record, path, lines)
+            counts.append((sum(c for c, _ in counts), sum(p for _, p in counts)))
+            print(f"{name:10} " + " ".join(f"{c:12.1f} / {p:7.1f}" for c, p in counts))
     return 0
 
 
